@@ -56,6 +56,26 @@ constexpr std::array<std::string_view, 6> kMessagesChatter = {
     "rsyslogd: action resumed (module builtin:omfile)",
 };
 
+/// One rendered line and where it goes.
+struct Line {
+  util::TimePoint time;
+  LogSource source;
+  std::string text;
+};
+
+/// Appends `lines` to their sources in (time, index) order: the order a
+/// stable sort by time gives, from 16-byte keys instead of whole lines.
+void concatenate(const std::vector<Line>& lines, Corpus& corpus) {
+  std::vector<std::pair<std::int64_t, std::uint32_t>> order(lines.size());
+  for (std::uint32_t i = 0; i < lines.size(); ++i) order[i] = {lines[i].time.usec, i};
+  std::sort(order.begin(), order.end());
+  for (const auto& [time, i] : order) {
+    std::string& out = corpus.of(lines[i].source);
+    out += lines[i].text;
+    out += '\n';
+  }
+}
+
 }  // namespace
 
 Corpus build_corpus(const faultsim::SimulationResult& sim) {
@@ -65,15 +85,9 @@ Corpus build_corpus(const faultsim::SimulationResult& sim) {
   corpus.days = sim.config.days;
 
   const bool has_external = corpus.system.name != platform::SystemName::S5;
-  LogRenderer renderer(sim.topology, corpus.system.scheduler, sim.symbols);
+  const LogRenderer renderer(sim.topology, corpus.system.scheduler, sim.symbols);
 
-  // Render every non-scheduler record plus the routine chatter into
-  // per-source (time, line) streams, then sort and concatenate.
-  struct Line {
-    util::TimePoint time;
-    LogSource source;
-    std::string text;
-  };
+  // Every non-scheduler record plus the routine chatter, one line each.
   std::vector<Line> lines;
   lines.reserve(sim.records.size());
   for (const auto& r : sim.records) {
@@ -82,7 +96,7 @@ Corpus build_corpus(const faultsim::SimulationResult& sim) {
         (r.source == LogSource::Controller || r.source == LogSource::Erd)) {
       continue;  // S5 has no external log universe
     }
-    lines.push_back({r.time, r.source, renderer.render(r)});
+    renderer.append(lines.emplace_back(Line{r.time, r.source, {}}).text, r);
   }
 
   // Routine chatter: raw daemon lines matching no fault signature.
@@ -98,48 +112,27 @@ Corpus build_corpus(const faultsim::SimulationResult& sim) {
       const platform::NodeId node{static_cast<std::uint32_t>(rng.uniform_int(
           0, static_cast<std::int64_t>(sim.topology.node_count()) - 1))};
       const bool console = rng.bernoulli(0.7);
-      std::string text;
-      if (console) {
-        text = util::format_iso(t) + ' ' + sim.topology.node_name(node);
-        if (sim.topology.config().naming == platform::NamingScheme::CrayCname) {
-          text += ' ' + sim.topology.cname_of(node).to_string();
-        }
-        text += " kernel: ";
-        text += kConsoleChatter[static_cast<std::size_t>(rng.uniform_int(0, 7))];
-      } else {
-        text = util::format_syslog(t) + ' ' + sim.topology.node_name(node) +
-               " daemon[1]: ";
-        text += kMessagesChatter[static_cast<std::size_t>(rng.uniform_int(0, 5))];
-      }
-      lines.push_back({t, console ? LogSource::Console : LogSource::Messages,
-                       std::move(text)});
+      const LogSource source = console ? LogSource::Console : LogSource::Messages;
+      const std::string_view text =
+          console ? kConsoleChatter[static_cast<std::size_t>(rng.uniform_int(0, 7))]
+                  : kMessagesChatter[static_cast<std::size_t>(rng.uniform_int(0, 5))];
+      renderer.append_chatter(lines.emplace_back(Line{t, source, {}}).text, t, node, source,
+                              text);
       ++corpus.chatter_lines;
     }
   }
+  concatenate(lines, corpus);
 
-  std::stable_sort(lines.begin(), lines.end(),
-                   [](const Line& a, const Line& b) { return a.time < b.time; });
-  for (const auto& line : lines) {
-    auto& out = corpus.of(line.source);
-    out += line.text;
-    out += '\n';
-  }
-
-  // Scheduler file from the jobs table, sorted by event time (Torque
+  // The scheduler file from the jobs table, ordered by event time (Torque
   // timestamps do not sort lexically).
-  std::vector<LogRenderer::SchedulerLine> sched_lines;
+  std::vector<Line> sched_lines;
   for (const auto& job : sim.jobs) {
-    for (auto& line : renderer.render_job_lines(job)) {
-      sched_lines.push_back(std::move(line));
+    for (const JobLineAt& at : job_lines(job)) {
+      Line& line = sched_lines.emplace_back(Line{at.time, LogSource::Scheduler, {}});
+      renderer.append_job_line(line.text, job, at);
     }
   }
-  std::stable_sort(sched_lines.begin(), sched_lines.end(),
-                   [](const auto& a, const auto& b) { return a.time < b.time; });
-  auto& sched = corpus.of(LogSource::Scheduler);
-  for (const auto& line : sched_lines) {
-    sched += line.text;
-    sched += '\n';
-  }
+  concatenate(sched_lines, corpus);
   return corpus;
 }
 

@@ -1,7 +1,8 @@
 #include "loggen/nid_ranges.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <bit>
+#include <cstdint>
 #include <utility>
 
 #include "util/scan.hpp"
@@ -14,40 +15,60 @@ constexpr int kNidWidth = 5;
 constexpr int kHostWidth = 4;
 }  // namespace
 
-std::string compress_node_list(std::vector<platform::NodeId> nodes,
-                               platform::NamingScheme naming) {
-  const char* prefix = naming == platform::NamingScheme::CrayCname ? "nid" : "node";
-  const int width = naming == platform::NamingScheme::CrayCname ? kNidWidth : kHostWidth;
-  if (nodes.empty()) return std::string(prefix) + "[]";
-  std::sort(nodes.begin(), nodes.end());
-  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+namespace {
 
-  char buf[32];
-  if (nodes.size() == 1) {
-    std::snprintf(buf, sizeof buf, "%s%0*u", prefix, width, nodes[0].value);
-    return buf;
+/// Index of the first bit at or after `from` that is set (`set`) or clear
+/// (`!set`) in `bits`; bits.size() * 64 when there is none.
+std::size_t find_bit(const std::vector<std::uint64_t>& bits, std::size_t from, bool set) {
+  const std::uint64_t flip = set ? 0 : ~std::uint64_t{0};
+  std::size_t w = from / 64;
+  if (w >= bits.size()) return bits.size() * 64;
+  std::uint64_t word = (bits[w] ^ flip) & (~std::uint64_t{0} << (from % 64));
+  while (word == 0) {
+    if (++w == bits.size()) return bits.size() * 64;
+    word = bits[w] ^ flip;
   }
-  std::string out = prefix;
+  return w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+}
+
+}  // namespace
+
+void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
+                      platform::NamingScheme naming) {
+  const bool cray = naming == platform::NamingScheme::CrayCname;
+  const std::string_view prefix = cray ? "nid" : "node";
+  const int width = cray ? kNidWidth : kHostWidth;
+  out += prefix;
+  if (nodes.empty()) {
+    out += "[]";
+    return;
+  }
+  const auto [min_it, max_it] = std::minmax_element(nodes.begin(), nodes.end());
+  const std::uint32_t lo = min_it->value;
+  if (lo == max_it->value) {
+    util::append_uint(out, lo, width);
+    return;
+  }
+  // One bit per node of [lo, hi]: a bit scan yields the nodes sorted and
+  // deduplicated, and each run of set bits is one range piece.
+  std::vector<std::uint64_t> bits((max_it->value - lo) / 64 + 1);
+  for (const auto node : nodes) {
+    const std::uint32_t i = node.value - lo;
+    bits[i / 64] |= std::uint64_t{1} << (i % 64);
+  }
   out += '[';
-  std::size_t i = 0;
-  bool first = true;
-  while (i < nodes.size()) {
-    std::size_t j = i;
-    while (j + 1 < nodes.size() && nodes[j + 1].value == nodes[j].value + 1) ++j;
-    if (!first) out += ',';
-    first = false;
-    if (j == i) {
-      std::snprintf(buf, sizeof buf, "%0*u", width, nodes[i].value);
-      out += buf;
-    } else {
-      std::snprintf(buf, sizeof buf, "%0*u-%0*u", width, nodes[i].value, width,
-                    nodes[j].value);
-      out += buf;
+  const std::size_t end = bits.size() * 64;
+  for (std::size_t first = find_bit(bits, 0, true); first < end;) {
+    const std::size_t last = find_bit(bits, first, false) - 1;
+    if (first != 0) out += ',';  // bit 0 (lo) opens the first piece
+    util::append_uint(out, lo + first, width);
+    if (last != first) {
+      out += '-';
+      util::append_uint(out, lo + last, width);
     }
-    i = j + 1;
+    first = find_bit(bits, last + 1, true);
   }
   out += ']';
-  return out;
 }
 
 std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view text) noexcept {
@@ -107,7 +128,7 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
       out.reserve(util::scan::count_byte(inner, ',') + 1);
       std::size_t start = 0;
       for (;;) {
-        // Width-5 pieces ("00123") are what compress_node_list emits for
+        // Width-5 pieces ("00123") are what append_node_list emits for
         // cname nids, so nearly every piece hits the branchless
         // parse_digits4 + trailing-digit path; anything else (different
         // width, stray bytes) falls through to the generic parse, which

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -14,10 +15,11 @@
 
 namespace hpcfail::loggen {
 
-/// Compresses a node list (need not be sorted; duplicates are dropped).
-/// `naming` selects the nid/node prefix and digit width.
-[[nodiscard]] std::string compress_node_list(std::vector<platform::NodeId> nodes,
-                                             platform::NamingScheme naming);
+/// Appends the compressed form of a node list (need not be sorted;
+/// duplicates are dropped) to `out`.  `naming` selects the nid/node prefix
+/// and digit width.
+void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
+                      platform::NamingScheme naming);
 
 /// Expands the compressed form. Returns nullopt on malformed input.
 /// Validation against a topology (bounds) is the caller's business.

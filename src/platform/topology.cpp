@@ -1,5 +1,6 @@
 #include "platform/topology.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace hpcfail::platform {
@@ -44,14 +45,10 @@ CabinetId Topology::cabinet_of_blade(BladeId b) const noexcept {
   return CabinetId{ch.value / chassis_per_cabinet_};
 }
 
-std::vector<NodeId> Topology::nodes_on_blade(BladeId b) const {
-  std::vector<NodeId> out;
-  if (!b.valid() || b.value >= blade_count_) return out;
+NodeRange Topology::nodes_on_blade(BladeId b) const noexcept {
+  if (!b.valid() || b.value >= blade_count_) return {};
   const std::uint32_t first = b.value * nodes_per_blade_;
-  for (std::uint32_t i = 0; i < nodes_per_blade_ && first + i < node_count_; ++i) {
-    out.push_back(NodeId{first + i});
-  }
-  return out;
+  return {first, std::min(first + nodes_per_blade_, node_count_)};
 }
 
 NodeId Topology::first_node(BladeId b) const noexcept {

@@ -6,11 +6,11 @@
 // Fig 18) goes through this class rather than re-deriving geometry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "platform/cname.hpp"
 #include "platform/ids.hpp"
@@ -21,6 +21,28 @@ namespace hpcfail::platform {
 enum class NamingScheme {
   CrayCname,  ///< nid##### in internal logs, cnames in controller logs
   Hostname,   ///< node#### everywhere (institutional cluster)
+};
+
+/// A contiguous run of node ids [first, last), iterable without allocating
+/// (what Topology::nodes_on_blade returns).
+struct NodeRange {
+  struct iterator {
+    std::uint32_t value = 0;
+    [[nodiscard]] NodeId operator*() const noexcept { return NodeId{value}; }
+    iterator& operator++() noexcept {
+      ++value;
+      return *this;
+    }
+    bool operator==(const iterator&) const = default;
+  };
+
+  std::uint32_t first = 0;
+  std::uint32_t last = 0;
+
+  [[nodiscard]] iterator begin() const noexcept { return {first}; }
+  [[nodiscard]] iterator end() const noexcept { return {last}; }
+  [[nodiscard]] std::size_t size() const noexcept { return last - first; }
+  [[nodiscard]] bool empty() const noexcept { return first == last; }
 };
 
 struct TopologyConfig {
@@ -53,8 +75,9 @@ class Topology {
   [[nodiscard]] CabinetId cabinet_of(NodeId n) const noexcept;
   [[nodiscard]] CabinetId cabinet_of_blade(BladeId b) const noexcept;
 
-  /// Nodes on a blade, clipped to node_count for a partial machine.
-  [[nodiscard]] std::vector<NodeId> nodes_on_blade(BladeId b) const;
+  /// Nodes on a blade, clipped to node_count for a partial machine; empty
+  /// for an invalid or out-of-range blade.
+  [[nodiscard]] NodeRange nodes_on_blade(BladeId b) const noexcept;
 
   /// First node index on a blade (the blade may be partially populated).
   [[nodiscard]] NodeId first_node(BladeId b) const noexcept;

@@ -1,5 +1,6 @@
 #include "util/strings.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "util/scan.hpp"
@@ -105,6 +106,34 @@ std::optional<double> parse_double(std::string_view s) noexcept {
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) return std::nullopt;
   return value;
+}
+
+void append_int(std::string& out, std::int64_t v) {
+  if (v < 0) out += '-';
+  // Unsigned negation is exact for every int64, INT64_MIN included.
+  append_uint(out, v < 0 ? 0 - static_cast<std::uint64_t>(v) : static_cast<std::uint64_t>(v));
+}
+
+void append_uint(std::string& out, std::uint64_t v, int width) {
+  // Digits right to left, then zero padding, then one append.
+  char buf[24];
+  char* const end = buf + sizeof buf;
+  char* p = end;
+  do {
+    *--p = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  const int pad = std::min(width, static_cast<int>(sizeof buf));
+  while (end - p < pad) *--p = '0';
+  out.append(p, end);
+}
+
+void append_fixed(std::string& out, double v, int precision) {
+  // DBL_MAX in fixed notation is 309 integer digits; add sign, point and
+  // up to 64 decimals.
+  char buf[384];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision);
+  out.append(buf, r.ptr);
 }
 
 std::string join(const std::vector<std::string>& parts, std::string_view sep) {

@@ -46,6 +46,22 @@ namespace hpcfail::util {
 [[nodiscard]] std::optional<std::uint64_t> parse_u64(std::string_view s) noexcept;
 [[nodiscard]] std::optional<double> parse_double(std::string_view s) noexcept;
 
+/// Writers for the render hot path: each appends exactly the bytes printf
+/// would produce for the named conversion, with no temporary string and no
+/// snprintf.
+
+/// `v` in decimal, as "%lld" prints it.
+void append_int(std::string& out, std::int64_t v);
+
+/// `v` zero-padded to at least `width` (at most 24) digits, as "%0*llu"
+/// prints it; a value with more digits than `width` prints all of them.
+void append_uint(std::string& out, std::uint64_t v, int width = 0);
+
+/// `v` with `precision` (0..64) decimals, as "%.*f" prints it in the C
+/// locale: correctly rounded, "-0.000" for -0.0, "nan"/"inf" spelled as
+/// printf spells them (std::to_chars is specified to match printf).
+void append_fixed(std::string& out, double v, int precision);
+
 [[nodiscard]] std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// If `s` starts with `prefix`, returns the remainder; otherwise nullopt.

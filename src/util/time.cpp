@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "util/scan.hpp"
+#include "util/strings.hpp"
 
 namespace hpcfail::util {
 
@@ -118,12 +119,93 @@ CivilTime civil_time(TimePoint t) noexcept {
   return c;
 }
 
-std::string format_iso(TimePoint t) {
+namespace {
+
+/// Two digits of `v` in [0, 99], as "%02d" prints it.
+char* put2(char* p, int v) noexcept {
+  p[0] = static_cast<char>('0' + v / 10);
+  p[1] = static_cast<char>('0' + v % 10);
+  return p + 2;
+}
+
+/// A year as "%04d" prints it: zero-padded to four characters, sign first.
+void append_year(std::string& out, int year) {
+  if (year >= 0 && year <= 9999) {
+    char buf[4];
+    put2(put2(buf, year / 100), year % 100);
+    out.append(buf, sizeof buf);
+  } else if (year < 0) {
+    out += '-';
+    append_uint(out, static_cast<std::uint64_t>(-static_cast<std::int64_t>(year)), 3);
+  } else {
+    append_uint(out, static_cast<std::uint64_t>(year), 4);
+  }
+}
+
+/// "HH:MM:SS" at `p`.
+char* put_clock(char* p, const CivilTime& c) noexcept {
+  p = put2(p, c.hour);
+  *p++ = ':';
+  p = put2(p, c.minute);
+  *p++ = ':';
+  return put2(p, c.second);
+}
+
+}  // namespace
+
+void append_iso(std::string& out, TimePoint t) {
+  // "%04d-%02d-%02dT%02d:%02d:%02d.%06d"
   const CivilTime c = civil_time(t);
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%06d", c.year,
-                c.month, c.day, c.hour, c.minute, c.second, c.usec);
-  return buf;
+  append_year(out, c.year);
+  char buf[22];
+  char* p = buf;
+  *p++ = '-';
+  p = put2(p, c.month);
+  *p++ = '-';
+  p = put2(p, c.day);
+  *p++ = 'T';
+  p = put_clock(p, c);
+  *p++ = '.';
+  p = put2(p, c.usec / 10000);
+  p = put2(p, c.usec / 100 % 100);
+  put2(p, c.usec % 100);
+  out.append(buf, sizeof buf);
+}
+
+void append_syslog(std::string& out, TimePoint t) {
+  // "%s %2d %02d:%02d:%02d"
+  const CivilTime c = civil_time(t);
+  out += kMonthNames[static_cast<std::size_t>(c.month - 1)];
+  char buf[12];
+  char* p = buf;
+  *p++ = ' ';
+  p = put2(p, c.day);
+  if (c.day < 10) buf[1] = ' ';
+  *p++ = ' ';
+  put_clock(p, c);
+  out.append(buf, sizeof buf);
+}
+
+void append_torque(std::string& out, TimePoint t) {
+  // "%02d/%02d/%04d %02d:%02d:%02d"
+  const CivilTime c = civil_time(t);
+  char date[6];
+  put2(date, c.month);
+  date[2] = '/';
+  put2(date + 3, c.day);
+  date[5] = '/';
+  out.append(date, sizeof date);
+  append_year(out, c.year);
+  char clock[9];
+  clock[0] = ' ';
+  put_clock(clock + 1, c);
+  out.append(clock, sizeof clock);
+}
+
+std::string format_iso(TimePoint t) {
+  std::string out;
+  append_iso(out, t);
+  return out;
 }
 
 std::string format_sql(TimePoint t) {
@@ -135,12 +217,9 @@ std::string format_sql(TimePoint t) {
 }
 
 std::string format_syslog(TimePoint t) {
-  const CivilTime c = civil_time(t);
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%s %2d %02d:%02d:%02d",
-                std::string(kMonthNames[static_cast<std::size_t>(c.month - 1)]).c_str(),
-                c.day, c.hour, c.minute, c.second);
-  return buf;
+  std::string out;
+  append_syslog(out, t);
+  return out;
 }
 
 std::optional<TimePoint> parse_iso(std::string_view s) noexcept {
@@ -210,11 +289,9 @@ std::optional<TimePoint> parse_syslog(std::string_view s, int base_year,
 }
 
 std::string format_torque(TimePoint t) {
-  const CivilTime c = civil_time(t);
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%02d/%02d/%04d %02d:%02d:%02d", c.month, c.day, c.year,
-                c.hour, c.minute, c.second);
-  return buf;
+  std::string out;
+  append_torque(out, t);
+  return out;
 }
 
 std::optional<TimePoint> parse_torque(std::string_view s) noexcept {

@@ -98,6 +98,12 @@ void civil_from_days(std::int64_t z, int& y, int& m, int& d) noexcept;
 /// "Mar  2 14:05:01" (syslog style; day is space-padded)
 [[nodiscard]] std::string format_syslog(TimePoint t);
 
+/// format_iso / format_syslog / format_torque appended onto `out` with no
+/// temporary string: the render hot path writes every timestamp this way.
+void append_iso(std::string& out, TimePoint t);
+void append_syslog(std::string& out, TimePoint t);
+void append_torque(std::string& out, TimePoint t);
+
 /// Parses the ISO format produced by format_iso. Fractional seconds of any
 /// length 0..6 and an optional trailing 'Z' are accepted.
 [[nodiscard]] std::optional<TimePoint> parse_iso(std::string_view s) noexcept;

@@ -10,4 +10,11 @@ std::string_view erd_event_name(EventType t) noexcept {
   }
 }
 
+LogRenderer::LogRenderer(const Topology& topo) {
+  for (std::uint32_t n = 0; n < topo.node_count(); ++n) {
+    // hpcfail-lint: allow(hot-path-format) -- once per node when the table is built
+    node_cnames_.add(topo.cname_of(NodeId{n}).to_string());
+  }
+}
+
 }  // namespace hpcfail::loggen

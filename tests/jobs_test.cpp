@@ -2,8 +2,11 @@
 // job table.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 #include <set>
+#include <string>
 
 #include "jobs/allocator.hpp"
 #include "jobs/app_catalog.hpp"
@@ -104,6 +107,186 @@ TEST(AllocatorTest, ImpossibleRequests) {
   EXPECT_TRUE(alloc.allocate(0, t0, t0, AllocPolicy::Scattered, rng).empty());
   EXPECT_TRUE(
       alloc.allocate(topo.node_count() + 1, t0, t0, AllocPolicy::Scattered, rng).empty());
+}
+
+// ------------------------------------------------ allocator differential ----
+
+/// The allocator as it was before the blade bounds, the busy ledger and the
+/// incremental stride: one free_at_ scan per walk, blade nodes recomputed
+/// per blade, the scattered node as (offset + step * stride) % n.  Kept
+/// only as the oracle for NodeAllocator's fast paths.
+class ReferenceAllocator {
+ public:
+  explicit ReferenceAllocator(const platform::Topology& topo)
+      : topo_(topo), free_at_(topo.node_count(), util::TimePoint{0}) {}
+
+  std::vector<platform::NodeId> allocate(std::uint32_t count, util::TimePoint start,
+                                         util::TimePoint end, AllocPolicy policy,
+                                         util::Rng& rng) {
+    std::vector<platform::NodeId> picked;
+    const std::uint32_t n = topo_.node_count();
+    if (count == 0 || count > n) return picked;
+    const auto is_free = [this, start](std::uint32_t node) { return free_at_[node] <= start; };
+    if (policy == AllocPolicy::BladePacked) {
+      const std::uint32_t blades = topo_.blade_count();
+      const auto per_blade = static_cast<std::uint32_t>(topo_.config().nodes_per_slot);
+      const auto offset = static_cast<std::uint32_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(blades) - 1));
+      for (std::uint32_t step = 0; step < blades && picked.size() < count; ++step) {
+        const std::uint32_t first = ((offset + step) % blades) * per_blade;
+        for (std::uint32_t i = 0; i < per_blade && first + i < n; ++i) {
+          if (picked.size() >= count) break;
+          if (is_free(first + i)) picked.push_back(platform::NodeId{first + i});
+        }
+      }
+    } else {
+      const auto offset =
+          static_cast<std::uint32_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      auto stride = static_cast<std::uint32_t>(rng.uniform_int(1, 257));
+      while (std::gcd(stride, n) != 1) ++stride;
+      for (std::uint32_t step = 0; step < n && picked.size() < count; ++step) {
+        const std::uint32_t node = (offset + step * stride) % n;
+        if (is_free(node)) picked.push_back(platform::NodeId{node});
+      }
+    }
+    if (picked.size() < count) return {};
+    for (const auto node : picked) free_at_[node.value] = end;
+    return picked;
+  }
+
+  void release(platform::NodeId node, util::TimePoint at) {
+    if (node.valid() && node.value < free_at_.size()) {
+      free_at_[node.value] = std::min(free_at_[node.value], at);
+    }
+  }
+
+  [[nodiscard]] std::uint32_t free_count(util::TimePoint t) const {
+    return static_cast<std::uint32_t>(
+        std::count_if(free_at_.begin(), free_at_.end(), [t](auto f) { return f <= t; }));
+  }
+
+ private:
+  const platform::Topology& topo_;
+  std::vector<util::TimePoint> free_at_;
+};
+
+/// How a random schedule moves its clock, in seconds: starts step forward
+/// by up to `forward`, back by up to `backward`, or repeat; each job ends
+/// `end_lo`..`end_hi` after its start (a negative end precedes it).
+struct Schedule {
+  std::int64_t forward = 600;
+  std::int64_t backward = 3600;
+  std::int64_t end_lo = -60;
+  std::int64_t end_hi = 7200;
+};
+
+/// Drives NodeAllocator and ReferenceAllocator through one seeded random
+/// schedule and requires identical node vectors, free counts and next RNG
+/// draw after every call.
+void expect_same_schedule(const platform::TopologyConfig& cfg, std::uint64_t seed, int calls,
+                          const Schedule& sched = {}) {
+  const platform::Topology topo(cfg);
+  NodeAllocator fast(topo);
+  ReferenceAllocator ref(topo);
+  util::Rng schedule(seed);
+  util::Rng rng_fast(seed * 7 + 1);
+  util::Rng rng_ref(seed * 7 + 1);
+  const std::uint32_t n = topo.node_count();
+  std::int64_t clock = 0;  // seconds
+  for (int call = 0; call < calls; ++call) {
+    SCOPED_TRACE("call " + std::to_string(call));
+    // Starts mostly move forward, but also repeat and jump backwards.
+    const double move = schedule.uniform();
+    if (move < 0.6) {
+      clock += schedule.uniform_int(0, sched.forward);
+    } else if (move < 0.8) {
+      clock -= schedule.uniform_int(0, sched.backward);
+    }  // else: the same start again
+    const util::TimePoint start = util::TimePoint::from_unix_seconds(clock);
+    if (schedule.bernoulli(0.1)) {
+      // release() may move a node earlier, later than now, or not at all.
+      const platform::NodeId node{static_cast<std::uint32_t>(
+          schedule.uniform_int(0, static_cast<std::int64_t>(n)))};  // n is out of range
+      const util::TimePoint at =
+          start + util::Duration::seconds(schedule.uniform_int(-1800, 1800));
+      fast.release(node, at);
+      ref.release(node, at);
+    } else {
+      const util::TimePoint end =
+          start + util::Duration::seconds(schedule.uniform_int(sched.end_lo, sched.end_hi));
+      const auto want = static_cast<std::uint32_t>(schedule.uniform_int(0, n + 1));
+      const AllocPolicy policy =
+          schedule.bernoulli(0.5) ? AllocPolicy::BladePacked : AllocPolicy::Scattered;
+      auto got = fast.allocate(want, start, end, policy, rng_fast);
+      auto expected = ref.allocate(want, start, end, policy, rng_ref);
+      ASSERT_EQ(got, expected);
+      if (got.empty()) {
+        // The workload's busy-machine retry: a quarter-size job.
+        const std::uint32_t quarter = std::max(1u, want / 4);
+        got = fast.allocate(quarter, start, end, policy, rng_fast);
+        expected = ref.allocate(quarter, start, end, policy, rng_ref);
+        ASSERT_EQ(got, expected);
+      }
+    }
+    ASSERT_EQ(fast.free_count(start), ref.free_count(start));
+    ASSERT_EQ(rng_fast.next_u64(), rng_ref.next_u64());
+  }
+}
+
+TEST(AllocatorDifferential, MatchesReferenceOnRandomSchedules) {
+  platform::TopologyConfig cfg;  // one cabinet, 192 nodes, 4 per blade
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_schedule(cfg, seed, 3000);
+  }
+}
+
+TEST(AllocatorDifferential, PartlyPopulatedLastBlade) {
+  for (const std::uint32_t max_nodes : {190u, 61u, 13u}) {
+    platform::TopologyConfig cfg;
+    cfg.max_nodes = max_nodes;  // not a multiple of nodes_per_slot
+    SCOPED_TRACE("max_nodes " + std::to_string(max_nodes));
+    expect_same_schedule(cfg, max_nodes, 2000);
+  }
+}
+
+TEST(AllocatorDifferential, TinyTopologiesWithStrideBeyondNodeCount) {
+  // Node counts of 1..9 with 1-3 nodes per blade: every scattered stride
+  // (1..257, bumped to be coprime) is at least n.
+  for (const int per_blade : {1, 2, 3}) {
+    for (std::uint32_t nodes = 1; nodes <= 9; ++nodes) {
+      platform::TopologyConfig cfg;
+      cfg.nodes_per_slot = per_blade;
+      cfg.max_nodes = nodes;
+      SCOPED_TRACE("per_blade " + std::to_string(per_blade) + " nodes " +
+                   std::to_string(nodes));
+      expect_same_schedule(cfg, nodes * 10 + static_cast<std::uint64_t>(per_blade), 400);
+    }
+  }
+}
+
+TEST(AllocatorDifferential, EndsBeforeStartsWithSmallSteps) {
+  // Jobs that end before they start free their nodes "in the past"; with
+  // short backward steps, later walks start between such an end and the
+  // blade's previous earliest free time.
+  platform::TopologyConfig cfg;
+  cfg.slots_per_chassis = 4;
+  for (std::uint64_t seed = 30; seed < 38; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_schedule(cfg, seed, 3000, Schedule{60, 60, -120, 120});
+  }
+}
+
+TEST(AllocatorDifferential, SaturatedMachine) {
+  // Large requests on a small machine: most walks find too few free nodes,
+  // and the quarter-size retries run constantly.
+  platform::TopologyConfig cfg;
+  cfg.slots_per_chassis = 4;
+  cfg.chassis_per_cabinet = 1;  // 16 nodes
+  for (std::uint64_t seed = 20; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_same_schedule(cfg, seed, 2000);
+  }
 }
 
 // ------------------------------------------------------------- workload ----

@@ -324,11 +324,48 @@ TEST(LintHotPathScan, RawNewlineScansAndLineVectorsAreDiagnosedExactly) {
             }));
 }
 
+TEST(LintHotPathFormat, PerFieldFormattingOnTheRenderPathIsDiagnosedExactly) {
+  const Report report = run_checks(fixture("format_drift"), {"hot-path-format"});
+  const std::string snprintf_msg =
+      "error: [hot-path-format] snprintf on the render hot path; write fields with "
+      "util::append_int/append_uint/append_fixed and timestamps with "
+      "util::append_iso/append_syslog/append_torque";
+  const std::string cname_msg =
+      "error: [hot-path-format] Cname::to_string formats a temporary string per call "
+      "on the render hot path; look the name up in a table built once per topology";
+  EXPECT_EQ(rendered(report),
+            (std::vector<std::string>{
+                "src/loggen/renderer.cpp:11: " + snprintf_msg,
+                "src/loggen/renderer.cpp:16: error: [hot-path-format] std::to_string "
+                "builds a temporary string per call on the render hot path; append "
+                "digits with util::append_int/append_uint",
+                "src/loggen/renderer.cpp:21: error: [hot-path-format] ostringstream on "
+                "the render hot path; append into the caller's buffer",
+                "src/loggen/renderer.cpp:27: " + cname_msg,
+                "src/loggen/renderer.cpp:32: " + cname_msg,
+                "src/loggen/renderer.cpp:31: error: [hot-path-format] "
+                "allow(hot-path-format) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(hot-path-format) -- <why this is safe>",
+                "src/loggen/nid_ranges.cpp:9: " + snprintf_msg,
+            }));
+}
+
+TEST(LintHotPathFormat, MissingHotPathFileIsReported) {
+  const Report report = run_checks(fixture("scan_drift"), {"hot-path-format"});
+  EXPECT_EQ(rendered(report),
+            (std::vector<std::string>{
+                "src/loggen/renderer.cpp:0: error: [hot-path-format] render hot-path "
+                "file not found",
+                "src/loggen/nid_ranges.cpp:0: error: [hot-path-format] render hot-path "
+                "file not found",
+            }));
+}
+
 // A reasoned allow suppresses exactly its finding: the tolerated() cases in
 // every drift fixture carry `allow(<check>) -- <reason>` and none of the
 // pinned diagnostics above mention their lines.  This locks the other half
 // of the contract: a reasonless allow never suppresses, and is itself
-// diagnosed, in every one of the four fixtures.
+// diagnosed, in every one of these fixtures.
 TEST(LintSuppressions, ReasonlessAllowNeverSuppresses) {
   const std::vector<std::pair<const char*, const char*>> cases = {
       {"capture_drift", "capture-lifetime"},
@@ -336,6 +373,7 @@ TEST(LintSuppressions, ReasonlessAllowNeverSuppresses) {
       {"finalize_drift", "finalize-protocol"},
       {"rawsync_drift", "raw-sync"},
       {"scan_drift", "hot-path-scan"},
+      {"format_drift", "hot-path-format"},
   };
   for (const auto& [name, check] : cases) {
     SCOPED_TRACE(name);
@@ -454,7 +492,7 @@ TEST(LintClean, ConsistentFixtureTreePasses) {
       {"erd-table", "event-names", "corpus-files", "snapshot-version",
        "banned-pattern", "header-hygiene", "bench-pipeline", "metric-naming",
        "fault-sites", "capture-lifetime", "dangling-view", "finalize-protocol",
-       "raw-sync", "hot-path-scan", "serve-protocol"});
+       "raw-sync", "hot-path-scan", "hot-path-format", "serve-protocol"});
   EXPECT_TRUE(report.ok()) << (report.ok() ? std::string{}
                                            : rendered(report).front());
 }

@@ -17,6 +17,13 @@ namespace {
 
 // ----------------------------------------------------------- nid ranges ----
 
+std::string compress_node_list(const std::vector<platform::NodeId>& nodes,
+                               platform::NamingScheme naming) {
+  std::string out;
+  append_node_list(out, nodes, naming);
+  return out;
+}
+
 TEST(NidRangeTest, CompressKnownForms) {
   using platform::NodeId;
   EXPECT_EQ(compress_node_list({NodeId{42}}, platform::NamingScheme::CrayCname), "nid00042");
@@ -80,6 +87,28 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NidRangeRoundTrip,
 
 // ------------------------------------------------------------- renderer ----
 
+std::string render(const LogRenderer& renderer, const logmodel::LogRecord& r) {
+  std::string line;
+  renderer.append(line, r);
+  return line;
+}
+
+struct TimedLine {
+  util::TimePoint time;
+  std::string text;
+};
+
+/// A job's scheduler-log lines in emission order.
+std::vector<TimedLine> render_job_lines(const LogRenderer& renderer, const jobs::Job& job) {
+  std::vector<TimedLine> lines;
+  for (const JobLineAt& at : job_lines(job)) {
+    std::string text;
+    renderer.append_job_line(text, job, at);
+    lines.push_back({at.time, std::move(text)});
+  }
+  return lines;
+}
+
 TEST(RendererTest, ConsoleLineGrammar) {
   const platform::Topology topo(platform::system_preset(platform::SystemName::S1).topology);
   logmodel::SymbolTable symbols;
@@ -92,7 +121,7 @@ TEST(RendererTest, ConsoleLineGrammar) {
   r.blade = topo.blade_of(r.node);
   r.job_id = 100001;
   r.detail = symbols.intern("Fatal machine check");
-  const std::string line = renderer.render(r);
+  const std::string line = render(renderer, r);
   EXPECT_TRUE(util::starts_with(line, "2015-03-02T14:05:01.123456 nid00042 "));
   EXPECT_NE(line.find("kernel: Kernel panic - not syncing: Fatal machine check"),
             std::string::npos);
@@ -110,7 +139,7 @@ TEST(RendererTest, HostnameSchemeOmitsCname) {
   r.type = logmodel::EventType::OomKill;
   r.node = platform::NodeId{3};
   r.detail = symbols.intern("Out of memory: kill process matlab");
-  const std::string line = renderer.render(r);
+  const std::string line = render(renderer, r);
   EXPECT_NE(line.find(" node0003 kernel: "), std::string::npos);
   EXPECT_EQ(line.find(" c0-"), std::string::npos);
 }
@@ -126,7 +155,7 @@ TEST(RendererTest, ErdLineCarriesEventAndNode) {
   r.node = platform::NodeId{7};
   r.blade = topo.blade_of(r.node);
   r.detail = symbols.intern("node heartbeat fault: failed health test");
-  const std::string line = renderer.render(r);
+  const std::string line = render(renderer, r);
   EXPECT_NE(line.find("ev=ec_node_failed"), std::string::npos);
   EXPECT_NE(line.find("node=nid00007"), std::string::npos);
   EXPECT_NE(line.find("src=c0-0c0s1n3"), std::string::npos);
@@ -146,7 +175,7 @@ TEST(RendererTest, JobLinesContainAllocationAndEnd) {
   job.mem_per_node_gb = 28.0;
   job.nodes = {platform::NodeId{0}, platform::NodeId{1}, platform::NodeId{5}};
   job.outcome = jobs::JobOutcome::Completed;
-  const auto lines = renderer.render_job_lines(job);
+  const auto lines = render_job_lines(renderer, job);
   ASSERT_EQ(lines.size(), 3u);  // allocate, end, epilogue
   EXPECT_NE(lines[0].text.find("NodeList=nid[00000-00001,00005]"), std::string::npos);
   EXPECT_NE(lines[0].text.find("NodeCnt=3"), std::string::npos);
@@ -167,7 +196,7 @@ TEST(RendererTest, TorqueDialect) {
   job.end = job.start + util::Duration::hours(1);
   job.nodes = {platform::NodeId{0}};
   job.outcome = jobs::JobOutcome::UserCancelled;
-  const auto lines = renderer.render_job_lines(job);
+  const auto lines = render_job_lines(renderer, job);
   ASSERT_EQ(lines.size(), 4u);  // run, delete, exit, epilogue
   EXPECT_TRUE(util::starts_with(lines[0].text, "03/02/2015 08:00:00;0008;PBS_Server;Job;"
                                                "4242.sdb;Job Run "));
@@ -201,23 +230,23 @@ TEST(RendererGoldenTest, ExactLines) {
 
   using logmodel::EventType;
   using logmodel::LogSource;
-  EXPECT_EQ(renderer.render(record(LogSource::Console, EventType::MachineCheckException,
+  EXPECT_EQ(render(renderer, record(LogSource::Console, EventType::MachineCheckException,
                                    "bank 4")),
             "2015-03-02T14:05:01.123456 nid00042 c0-0c0s10n2 kernel: mce: [Hardware "
             "Error]: Machine check events logged: bank 4");
-  EXPECT_EQ(renderer.render(record(LogSource::Console, EventType::CallTrace, "mce_log")),
+  EXPECT_EQ(render(renderer, record(LogSource::Console, EventType::CallTrace, "mce_log")),
             "2015-03-02T14:05:01.123456 nid00042 c0-0c0s10n2 kernel:  "
             "[<ffffffff81234567>] mce_log+0x1a2/0x400");
-  EXPECT_EQ(renderer.render(record(LogSource::Messages, EventType::NhcTestFail,
+  EXPECT_EQ(render(renderer, record(LogSource::Messages, EventType::NhcTestFail,
                                    "NHC: memory test failed")),
             "Mar  2 14:05:01 nid00042 nhc[2114]: NHC: memory test failed");
-  EXPECT_EQ(renderer.render(record(LogSource::Erd, EventType::NodeVoltageFault,
+  EXPECT_EQ(render(renderer, record(LogSource::Erd, EventType::NodeVoltageFault,
                                    "node voltage fault: VDD out of range")),
             "2015-03-02T14:05:01.123456 erd ev=ec_node_voltage_fault src=c0-0c0s10n2 "
             "node=nid00042 node voltage fault: VDD out of range");
   logmodel::LogRecord reading =
       record(LogSource::Controller, EventType::SedcReading, "CpuTemperature", 40.125);
-  EXPECT_EQ(renderer.render(reading),
+  EXPECT_EQ(render(renderer, reading),
             "2015-03-02T14:05:01.123456 c0-0c0s10n2 cc: sedc: CpuTemperature value=40.125");
 }
 

@@ -4,6 +4,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -377,6 +379,161 @@ TEST(StringsTest, SplitLinesStripsCarriageReturns) {
   const auto inner = split_lines("a\rb\r\n");
   ASSERT_EQ(inner.size(), 1u);
   EXPECT_EQ(inner[0], "a\rb");
+}
+
+// ------------------------------------------------------------ writers ----
+//
+// The render hot path writes timestamps, digits and sensor values with the
+// append_* writers instead of snprintf.  Each writer is checked here against
+// the snprintf conversion it replaces, over the domain the corpus uses and
+// its edges.
+
+std::string snprintf_iso(TimePoint t) {
+  const CivilTime c = civil_time(t);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%06d", c.year, c.month,
+                c.day, c.hour, c.minute, c.second, c.usec);
+  return buf;
+}
+
+std::string snprintf_syslog(TimePoint t) {
+  static const char* const kMonths[] = {"Jan", "Feb", "Mar", "Apr", "May", "Jun",
+                                        "Jul", "Aug", "Sep", "Oct", "Nov", "Dec"};
+  const CivilTime c = civil_time(t);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%s %2d %02d:%02d:%02d", kMonths[c.month - 1], c.day,
+                c.hour, c.minute, c.second);
+  return buf;
+}
+
+std::string snprintf_torque(TimePoint t) {
+  const CivilTime c = civil_time(t);
+  char buf[64];
+  std::snprintf(buf, sizeof buf, "%02d/%02d/%04d %02d:%02d:%02d", c.month, c.day, c.year,
+                c.hour, c.minute, c.second);
+  return buf;
+}
+
+void expect_timestamps_match(TimePoint t) {
+  SCOPED_TRACE(t.usec);
+  std::string out = "x";  // writers append; they never overwrite
+  append_iso(out, t);
+  EXPECT_EQ(out, "x" + snprintf_iso(t));
+  out.clear();
+  append_syslog(out, t);
+  EXPECT_EQ(out, snprintf_syslog(t));
+  out.clear();
+  append_torque(out, t);
+  EXPECT_EQ(out, snprintf_torque(t));
+  EXPECT_EQ(format_iso(t), snprintf_iso(t));
+  EXPECT_EQ(format_syslog(t), snprintf_syslog(t));
+  EXPECT_EQ(format_torque(t), snprintf_torque(t));
+}
+
+TEST(WriterTest, TimestampsAtCalendarEdges) {
+  // Month and year ends, leap days (and the non-leap 1900/2100), Dec -> Jan,
+  // single-digit days, and the instants either side of each.
+  const std::vector<TimePoint> edges = {
+      make_time(2015, 1, 31, 23, 59, 59, 999999), make_time(2015, 2, 28, 23, 59, 59),
+      make_time(2016, 2, 29, 12),                 make_time(2000, 2, 29),
+      make_time(1900, 2, 28, 23, 59, 59),         make_time(2100, 3, 1),
+      make_time(2015, 12, 31, 23, 59, 59, 999999), make_time(2016, 1, 1),
+      make_time(2016, 12, 31, 23, 59, 59),        make_time(2015, 3, 9, 9, 9, 9, 9),
+      make_time(2015, 10, 10, 10, 10, 10),        make_time(1970, 1, 1),
+      make_time(1969, 12, 31, 23, 59, 59, 999999), make_time(999, 6, 15),
+      make_time(9999, 12, 31, 23, 59, 59, 999999), make_time(10000, 1, 1),
+      make_time(-1, 7, 4),                        make_time(-12345, 1, 1),
+  };
+  for (const TimePoint t : edges) {
+    for (const std::int64_t d : {-1'000'000LL, -1LL, 0LL, 1LL, 1'000'000LL}) {
+      expect_timestamps_match(t + Duration::microseconds(d));
+    }
+  }
+}
+
+TEST(WriterTest, TimestampsOverRandomInstantsAndEveryUsecEdge) {
+  Rng rng(2024);
+  const std::int64_t lo = make_time(1990, 1, 1).usec;
+  const std::int64_t hi = make_time(2040, 1, 1).usec;
+  for (int i = 0; i < 20000; ++i) {
+    expect_timestamps_match(TimePoint{rng.uniform_int(lo, hi)});
+  }
+  // usec 0 and 999999 on whole seconds across two days.
+  const TimePoint base = make_time(2015, 12, 31);
+  for (std::int64_t sec = 0; sec < 2 * 86400; sec += 61) {
+    const TimePoint t = base + Duration::seconds(sec);
+    expect_timestamps_match(t);
+    expect_timestamps_match(t + Duration::microseconds(999999));
+  }
+}
+
+TEST(WriterTest, PaddedDigitsMatchSnprintf) {
+  char buf[32];
+  std::string out;
+  // Every value up to 200000 at the nid (5) and hostname (4) widths, so
+  // values whose digits exceed the width are covered too.
+  for (std::uint32_t v = 0; v <= 200000; ++v) {
+    for (const int width : {4, 5}) {
+      out.clear();
+      append_uint(out, v, width);
+      std::snprintf(buf, sizeof buf, "%0*u", width, v);
+      ASSERT_EQ(out, buf) << v << " width " << width;
+    }
+  }
+  for (const std::uint64_t v : {std::uint64_t{4294967295u}, ~std::uint64_t{0}}) {
+    out.clear();
+    append_uint(out, v, 5);
+    std::snprintf(buf, sizeof buf, "%05llu", static_cast<unsigned long long>(v));
+    EXPECT_EQ(out, buf);
+  }
+  for (const std::int64_t v :
+       {std::int64_t{0}, std::int64_t{-1}, std::int64_t{7}, std::int64_t{100001},
+        std::int64_t{-130}, std::numeric_limits<std::int64_t>::max(),
+        std::numeric_limits<std::int64_t>::min()}) {
+    out.clear();
+    append_int(out, v);
+    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
+    EXPECT_EQ(out, buf);
+  }
+}
+
+void expect_fixed_matches(double v) {
+  char buf[512];
+  std::string out;
+  append_fixed(out, v, 3);
+  std::snprintf(buf, sizeof buf, "%.3f", v);
+  ASSERT_EQ(out, buf) << "%.3f of " << v;
+  out.clear();
+  append_fixed(out, v, 1);
+  std::snprintf(buf, sizeof buf, "%.1f", v);
+  ASSERT_EQ(out, buf) << "%.1f of " << v;
+}
+
+TEST(WriterTest, FixedPointMatchesSnprintf) {
+  // Sensor readings (temperatures, voltages, fan speeds) and memory sizes,
+  // including negatives and both zeros.
+  Rng rng(7);
+  for (int i = 0; i < 200000; ++i) {
+    expect_fixed_matches(rng.normal(45.0, 15.0));
+    expect_fixed_matches(rng.uniform(-1000.0, 1000.0));
+    expect_fixed_matches(rng.uniform(0.0, 512.0));
+  }
+  for (const double v : {0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 1e300, -1e300,
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    expect_fixed_matches(v);
+  }
+  // A fourth (or second) decimal of exactly 5: decimal literals round to the
+  // nearest double, and exact binary ties (k/16, k/4) round half to even.
+  for (int k = -20000; k <= 20000; ++k) {
+    expect_fixed_matches(k / 1000.0 + 0.0005);
+    expect_fixed_matches(k / 10.0 + 0.05);
+    expect_fixed_matches(k / 16.0);
+    expect_fixed_matches(k / 4.0);
+  }
 }
 
 // ----------------------------------------------------- chunked reader ----

@@ -10,7 +10,10 @@
 //     querying non-finalized stores (PR 2/3),
 //   - raw-sync: concurrency/ownership primitives that bypass the
 //     instrumented util::ThreadPool (whose metrics caught PR 4's ABA
-//     use-after-free).
+//     use-after-free),
+//   - hot-path-format: per-field snprintf / temporary-string formatting on
+//     the render hot path, which once made rendering a fifth of ingest
+//     speed.
 //
 // The checks are deliberately token-level, not AST-level: they trade
 // soundness for zero build dependencies and sub-second repo-wide runtime,
@@ -523,6 +526,47 @@ void scan_raw_sync(const SourceFile& file, Report& report) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Check: hot-path-format
+// ---------------------------------------------------------------------------
+
+void scan_hot_path_format(const SourceFile& file, Report& report) {
+  const std::string check = "hot-path-format";
+  const Tokens& toks = file.tokens;
+  const auto next_is = [&toks](std::size_t i, std::string_view text) {
+    return i + 1 < toks.size() && is_punct(toks[i + 1], text);
+  };
+  for (std::size_t i = 0; i < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != Token::Kind::Identifier) continue;
+    if (t.text == "snprintf" && next_is(i, "(")) {
+      emit(file, t.line, check,
+           "snprintf on the render hot path; write fields with util::append_int/"
+           "append_uint/append_fixed and timestamps with util::append_iso/"
+           "append_syslog/append_torque",
+           report);
+    } else if (t.text == "ostringstream") {
+      emit(file, t.line, check,
+           "ostringstream on the render hot path; append into the caller's buffer",
+           report);
+    } else if (t.text == "to_string" && next_is(i, "(") && i > 0 &&
+               (is_punct(toks[i - 1], ".") || is_punct(toks[i - 1], "->"))) {
+      emit(file, t.line, check,
+           "Cname::to_string formats a temporary string per call on the render hot "
+           "path; look the name up in a table built once per topology",
+           report);
+    } else if ((t.text == "std" || t.text == "Cname") && i + 2 < toks.size() &&
+               is_punct(toks[i + 1], "::") && toks[i + 2].text == "to_string") {
+      emit(file, t.line, check,
+           std::string(t.text) +
+               "::to_string builds a temporary string per call on the render hot "
+               "path; append digits with util::append_int/append_uint",
+           report);
+      i += 2;
+    }
+  }
+}
+
 }  // namespace
 
 void check_capture_lifetime(SourceTree& tree, Report& report) {
@@ -564,6 +608,18 @@ void check_raw_sync(SourceTree& tree, Report& report) {
       const SourceFile* file = tree.source(rel);
       if (file != nullptr) scan_raw_sync(*file, report);
     }
+  }
+}
+
+void check_hot_path_format(SourceTree& tree, Report& report) {
+  // The render loop's files: every corpus byte is written through them.
+  for (const char* rel : {"src/loggen/renderer.cpp", "src/loggen/nid_ranges.cpp"}) {
+    const SourceFile* file = tree.source(rel);
+    if (file == nullptr) {
+      report.add(rel, 0, "hot-path-format", "render hot-path file not found");
+      continue;
+    }
+    scan_hot_path_format(*file, report);
   }
 }
 

@@ -1009,6 +1009,10 @@ const std::vector<CheckDef>& registry() {
         "Ingest hot-path files scan bytes through util::scan, never raw "
         "find('\\n') or per-chunk split_lines vectors"},
        &check_hot_path_scan},
+      {{"hot-path-format", Severity::Error,
+        "Render hot-path files append fields in place, never snprintf, "
+        "std::to_string, ostringstream or Cname::to_string"},
+       &check_hot_path_format},
       {{"serve-protocol", Severity::Error,
         "The serve verb table (kVerbs) and the FORMATS.md serve protocol "
         "section must agree verb-for-verb, summary-for-summary"},

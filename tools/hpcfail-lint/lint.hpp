@@ -175,6 +175,15 @@ void check_raw_sync(SourceTree& tree, Report& report);
 /// sharding).
 void check_hot_path_scan(SourceTree& tree, Report& report);
 
+/// The render hot path (src/loggen/renderer.cpp and nid_ranges.cpp) must
+/// append fields in place: snprintf, std::to_string, ostringstream and
+/// Cname::to_string there reintroduce the per-field temporaries and format
+/// parsing the appender removed.  Token-level, so comments and string
+/// literals never match.  Honors `// hpcfail-lint: allow(hot-path-format)
+/// -- <reason>` for uses off the per-line path (e.g. building the
+/// per-topology name tables once).
+void check_hot_path_format(SourceTree& tree, Report& report);
+
 /// The daemon's wire verbs (kVerbs in src/serve/protocol.cpp) and the
 /// FORMATS.md "serve protocol" table must agree in both directions — same
 /// verbs, same one-line summaries — so a verb cannot ship undocumented and
