@@ -15,7 +15,7 @@ int main() {
   scenario.benign.swo_per_month = 4.0;  // make SWOs likely in-window
   const auto sim = faultsim::Simulator(scenario).run();
   const auto corpus = loggen::build_corpus(sim);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
 
   auto score = [&](const core::DetectorConfig& cfg) {
     const auto detection = core::FailureDetector(cfg).detect_full(parsed.store, &parsed.jobs);

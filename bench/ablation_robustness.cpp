@@ -18,7 +18,7 @@ int main() {
   const core::AnalysisEngine engine;
 
   auto recall_of = [&sim, &engine](const loggen::Corpus& c) {
-    const auto parsed = parsers::parse_corpus(c);
+    const auto parsed = parsers::ingest_corpus(c);
     const auto failures = engine.analyze(parsed).failures;
     std::size_t matched = 0;
     for (const auto& truth : sim.truth.failures) {
@@ -59,14 +59,14 @@ int main() {
   no_env.drop_source[static_cast<std::size_t>(logmodel::LogSource::Controller)] = true;
   const auto degraded = loggen::degrade_corpus(corpus, no_env);
   check.in_range("no-external recall", recall_of(degraded), 0.95, 1.0);
-  const auto no_env_analysis = engine.analyze(parsers::parse_corpus(degraded));
+  const auto no_env_analysis = engine.analyze(parsers::ingest_corpus(degraded));
   check.in_range("no-external lead-time enhancements (must vanish)",
                  static_cast<double>(no_env_analysis.lead_time_summary.enhanceable), 0, 0);
 
   // Corrupted lines are rejected, not crashed on.
   loggen::DegradeConfig corrupt;
   corrupt.corrupt_line_fraction = 0.25;
-  const auto noisy = parsers::parse_corpus(loggen::degrade_corpus(corpus, corrupt));
+  const auto noisy = parsers::ingest_corpus(loggen::degrade_corpus(corpus, corrupt));
   check.greater("corruption rejected at parse", static_cast<double>(noisy.skipped_lines),
                 1.0);
   return check.exit_code();

@@ -20,7 +20,7 @@
 #include "core/root_cause.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
 #include "util/metrics.hpp"
 #include "util/table.hpp"
@@ -84,7 +84,7 @@ inline Pipeline run_pipeline(faultsim::SimulationResult sim,
   }
   {
     util::TraceSpan span("hpcfail.bench.parse");
-    p.parsed = parsers::parse_corpus(p.corpus);
+    p.parsed = parsers::ingest_corpus(p.corpus);
   }
   {
     util::TraceSpan span("hpcfail.bench.analyze");

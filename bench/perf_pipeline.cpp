@@ -22,7 +22,6 @@
 #include "core/root_cause.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
 #include "parsers/line_classifier.hpp"
 #include "parsers/snapshot.hpp"
@@ -118,7 +117,7 @@ void BM_ParseCorpus(benchmark::State& state) {
   util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
   std::size_t records = 0;
   for (auto _ : state) {
-    const auto parsed = parsers::parse_corpus(shared_corpus(), &pool);
+    const auto parsed = parsers::ingest_corpus(shared_corpus(), {.pool = &pool});
     records = parsed.parsed_records;
   }
   benchmark::DoNotOptimize(records);

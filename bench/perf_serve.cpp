@@ -20,7 +20,7 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "serve/server.hpp"
 #include "util/thread_pool.hpp"
 
@@ -102,7 +102,7 @@ int main(int argc, char** argv) {
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 42)).run();
   util::ThreadPool pool;
-  auto parsed = parsers::parse_corpus(loggen::build_corpus(sim), &pool);
+  auto parsed = parsers::ingest_corpus(loggen::build_corpus(sim), {.pool = &pool});
   const std::size_t records = parsed.store.size();
   const std::string node =
       std::string(parsed.topology.node_name(parsed.store.nodes().front()));

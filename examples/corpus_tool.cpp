@@ -32,7 +32,7 @@
 #include "core/temporal.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/table.hpp"
 
 namespace {
@@ -109,7 +109,7 @@ int cmd_generate(int argc, char** argv) {
 
 int cmd_analyze(const std::string& dir) {
   const auto corpus = loggen::read_corpus(dir);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   std::cout << "parsed " << parsed.parsed_records << " records from " << parsed.total_lines
             << " lines (" << parsed.skipped_lines << " skipped)\n";
 
@@ -164,7 +164,7 @@ int cmd_analyze(const std::string& dir) {
 
 int cmd_summarize(const std::string& dir) {
   const auto corpus = loggen::read_corpus(dir);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
 
   std::cout << "system " << corpus.system.label << " (" << corpus.system.machine_type
             << "), " << corpus.days << " days from " << util::format_iso(corpus.begin)
@@ -196,7 +196,7 @@ int cmd_summarize(const std::string& dir) {
 
 int cmd_report(const std::string& dir, const char* out_path) {
   const auto corpus = loggen::read_corpus(dir);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   core::ReportInputs inputs;
   inputs.store = &parsed.store;
   inputs.jobs = &parsed.jobs;

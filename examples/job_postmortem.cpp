@@ -10,7 +10,7 @@
 #include "core/job_analysis.hpp"
 #include "faultsim/special_scenarios.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
 
   const auto sim = faultsim::overallocation_day(seed);
   const auto corpus = loggen::build_corpus(sim);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   const auto analysis = core::AnalysisEngine().analyze(parsed);
   const auto& failures = analysis.failures;
 

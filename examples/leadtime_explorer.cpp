@@ -11,7 +11,7 @@
 #include "core/engine.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -31,7 +31,7 @@ int main(int argc, char** argv) {
 
   const auto sim = faultsim::Simulator(scenario).run();
   const auto corpus = loggen::build_corpus(sim);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
 
   // One engine run: failures plus their default-config lead times.
   const core::AnalysisEngine engine;

@@ -18,7 +18,7 @@
 #include "core/analysis_context.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "serve/server.hpp"
 #include "util/table.hpp"
 
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
   // attached to a console log at install time.
   loggen::Corpus header_only = corpus;
   for (auto& text : header_only.text) text.clear();
-  serve::Server server(parsers::parse_corpus(header_only));
+  serve::Server server(parsers::ingest_corpus(header_only));
 
   const std::string tail_path = "/tmp/hpcfail_live_monitor_tail.log";
   std::filesystem::remove(tail_path);
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
   // Post-hoc: what should the operator do about each confirmed failure?
   // The advisor wants the full multi-source window, so analyze the parsed
   // corpus directly (the daemon above only followed the console stream).
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   const core::AnalysisContext analysis_ctx(
       parsed.store, &parsed.jobs, parsed.store.first_time(),
       parsed.store.last_time() + util::Duration::microseconds(1));

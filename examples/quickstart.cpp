@@ -10,7 +10,7 @@
 #include "core/temporal.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::cout << "rendered   " << corpus.bytes() / 1024 << " KiB of raw log text\n";
 
   // 3. Parse the text back into a structured store + job table.
-  const parsers::ParsedCorpus parsed = parsers::parse_corpus(corpus);
+  const parsers::ParsedCorpus parsed = parsers::ingest_corpus(corpus);
   std::cout << "parsed     " << parsed.parsed_records << " records ("
             << parsed.skipped_lines << " lines skipped)\n";
 

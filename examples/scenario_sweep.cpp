@@ -14,7 +14,7 @@
 #include "faultsim/scenario_io.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "stats/ecdf.hpp"
 #include "util/table.hpp"
 
@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
 
     const auto sim = faultsim::Simulator(scenario).run();
     const auto corpus = loggen::build_corpus(sim);
-    const auto parsed = parsers::parse_corpus(corpus);
+    const auto parsed = parsers::ingest_corpus(corpus);
     const core::AnalysisEngine engine;
     const auto analysis =
         engine.analyze(parsed.store, &parsed.jobs, scenario.begin, scenario.end());

@@ -1,6 +1,6 @@
 #include "core/engine.hpp"
 
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/trace.hpp"
 
 namespace hpcfail::core {

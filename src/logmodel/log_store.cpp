@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "util/trace.hpp"
+
 namespace hpcfail::logmodel {
 
 namespace {
@@ -16,26 +18,6 @@ LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols)
   finalize();
 }
 
-LogStore LogStore::from_sorted(std::vector<LogRecord> records, SymbolTable symbols) {
-  // A violated precondition here poisons every later binary search over
-  // the time column, so it fails loud in every build — release included —
-  // instead of an assert that vanishes under NDEBUG.
-  const auto breach = std::is_sorted_until(records.begin(), records.end(), time_less);
-  if (breach != records.end()) {
-    throw std::logic_error(
-        "LogStore::from_sorted: records are not time-ordered (record " +
-        std::to_string(breach - records.begin()) + " moves backwards from " +
-        std::to_string((breach - 1)->time.usec) + " to " +
-        std::to_string(breach->time.usec) + " usec)");
-  }
-  LogStore store;
-  store.records_ = std::move(records);
-  store.symbols_ = std::move(symbols);
-  store.build_indexes();
-  store.finalized_ = true;
-  return store;
-}
-
 void LogStore::add(LogRecord r) {
   finalized_ = false;
   records_.push_back(r);
@@ -43,9 +25,49 @@ void LogStore::add(LogRecord r) {
 
 void LogStore::finalize() {
   if (finalized_) return;
-  std::stable_sort(records_.begin(), records_.end(), time_less);
+  sort_by_time();
   build_indexes();
   finalized_ = true;
+}
+
+void LogStore::sort_by_time() {
+  util::TraceSpan span("hpcfail.store.sort");
+  // Records arrive as a handful of long ascending runs (each source file
+  // is time-sorted, so ingest appends one run per source give or take
+  // chunk seams; a tail poll appends a short run after the sorted base).
+  // A full stable_sort pays n log n even on that shape; detecting the runs
+  // and stably merging them is one linear pass plus ~log(runs) compares
+  // per record, and a plain scan when the records are already sorted.
+  std::vector<std::size_t> bounds;  // ascending-run boundaries
+  bounds.push_back(0);
+  for (std::size_t i = 1; i < records_.size(); ++i) {
+    if (time_less(records_[i], records_[i - 1])) bounds.push_back(i);
+  }
+  if (bounds.size() == 1) return;
+  bounds.push_back(records_.size());
+
+  // Bottom-up natural merge: fold adjacent run pairs in place until one
+  // run remains.  std::inplace_merge is stable (ties take the left, i.e.
+  // earlier, range first) and only ever pairs contiguous segments, so the
+  // result is exactly std::stable_sort's order.  In place because
+  // libstdc++'s adaptive temp buffer is at most half a pair, which keeps
+  // peak RSS at stable_sort's level; a full spare buffer held across the
+  // passes measurably lifted it.
+  while (bounds.size() > 2) {
+    std::vector<std::size_t> next;
+    next.reserve(bounds.size() / 2 + 2);
+    next.push_back(0);
+    std::size_t i = 0;
+    for (; i + 2 < bounds.size(); i += 2) {
+      std::inplace_merge(records_.begin() + static_cast<std::ptrdiff_t>(bounds[i]),
+                         records_.begin() + static_cast<std::ptrdiff_t>(bounds[i + 1]),
+                         records_.begin() + static_cast<std::ptrdiff_t>(bounds[i + 2]),
+                         time_less);
+      next.push_back(bounds[i + 2]);
+    }
+    if (i + 1 < bounds.size()) next.push_back(bounds[i + 1]);  // odd run out
+    bounds = std::move(next);
+  }
 }
 
 void LogStore::build_indexes() {

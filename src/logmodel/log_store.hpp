@@ -32,18 +32,10 @@ class LogStore {
   /// point into), sorts by time and builds indexes.
   explicit LogStore(std::vector<LogRecord> records, SymbolTable symbols = {});
 
-  /// Builds a store from records already stably sorted by time (e.g. the
-  /// k-way merge of StoreBuilder), skipping the O(n log n) global sort.
-  /// Throws std::logic_error when the records are not time-ordered —
-  /// accepting them would silently break every binary search over the
-  /// time column, so the contract violation fails loud in every build.
-  [[nodiscard]] static LogStore from_sorted(std::vector<LogRecord> records,
-                                            SymbolTable symbols = {});
-
   void add(LogRecord r);
 
-  /// Sorts and (re)builds indexes. Must be called after the last add()
-  /// and before any query. Idempotent.
+  /// Sorts stably by time and (re)builds indexes.  Must be called after the
+  /// last add() and before any query.  Idempotent.
   void finalize();
 
   // The accessors below are deliberately unguarded: they are noexcept
@@ -180,6 +172,9 @@ class LogStore {
   /// default-constructed store is trivially finalized (empty).
   void require_finalized() const;
 
+  /// Stable sort by time as a natural-run merge: linear when the records
+  /// are already sorted, ~log(runs) compares per record otherwise.
+  void sort_by_time();
   void build_indexes();
 
   /// CSR indexes (util::CsrIndex): entries are record indexes, grouped by

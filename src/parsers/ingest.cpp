@@ -2,15 +2,17 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 #include <deque>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <istream>
 #include <new>
 #include <stdexcept>
+#include <streambuf>
 #include <utility>
 
-#include "logmodel/store_builder.hpp"
 #include "parsers/source_parsers.hpp"
 #include "util/chunked_reader.hpp"
 #include "util/fault.hpp"
@@ -66,8 +68,8 @@ std::string IngestError::to_string() const {
 namespace {
 
 /// Result of parsing one chunk's lines on a pool worker.  Detail Symbols
-/// point into the chunk-local table; append_batch remaps them into the
-/// builder's table at retire time.
+/// point into the chunk-local table; RunRecords::append remaps them into
+/// the run's table at retire time.
 struct ChunkResult {
   std::vector<LogRecord> records;
   logmodel::SymbolTable symbols;
@@ -110,19 +112,44 @@ struct IngestInstruments {
   [[nodiscard]] bool on() const noexcept { return bytes_read != nullptr; }
 };
 
-/// Parallel sources must retire in the same global sequence parse_corpus
-/// appends them, or time-tied records merge in a different order.
+/// Parallel sources always append in this order, so time-tied records
+/// from different sources keep one order whatever the caller passed.
 constexpr LogSource kParallelOrder[] = {
     LogSource::Console, LogSource::Consumer, LogSource::Messages,
     LogSource::Controller, LogSource::Erd,
 };
 
-/// read -> parse -> shard pipeline over one source stream.  Chunks retire
-/// in submission order (FIFO), so the builder sees the file's line order
-/// no matter how the pool schedules the parse tasks.
+/// The run's append sequence: every retired record in retirement order,
+/// plus the table their detail Symbols resolve against.  LogStore's
+/// constructor sorts the sequence by time once ingest is done.
+struct RunRecords {
+  std::vector<LogRecord> records;
+  logmodel::SymbolTable symbols;
+
+  /// Appends a retired chunk whose Symbols point into `chunk_symbols`.
+  /// Throws (if at all) before a record lands, so the caller's line
+  /// accounting stays exact when a retire fails.
+  void append(const std::vector<LogRecord>& batch,
+              const logmodel::SymbolTable& chunk_symbols) {
+    if (HPCFAIL_FAULT_SITE("store.append_batch.bad_alloc")) throw std::bad_alloc{};
+    if (batch.empty()) return;
+    // absorb() is a hash probe per *distinct* string, the remap a table
+    // lookup per record.
+    const std::vector<logmodel::Symbol> remap = symbols.absorb(chunk_symbols);
+    const std::size_t first = records.size();
+    records.insert(records.end(), batch.begin(), batch.end());
+    for (std::size_t i = first; i < records.size(); ++i) {
+      records[i].detail = remap[records[i].detail.id];
+    }
+  }
+};
+
+/// read -> parse pipeline over one source stream.  Chunks retire in
+/// submission order (FIFO), so records append in the file's line order no
+/// matter how the pool schedules the parse tasks.
 void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseContext& ctx,
                             const IngestOptions& options, util::ThreadPool& pool,
-                            std::size_t inflight, logmodel::StoreBuilder& builder,
+                            std::size_t inflight, RunRecords& run,
                             std::size_t& total_lines, std::size_t& skipped) {
   util::ChunkedLineReader reader(in, options.chunk_bytes);
   std::deque<std::future<ChunkResult>> pending;
@@ -140,11 +167,11 @@ void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseCont
       r = pending.front().get();
     }
     pending.pop_front();
-    // append_batch throws (if at all) before touching the store, so counting
+    // append() throws (if at all) before touching the records, so counting
     // the chunk's lines only after it returns keeps the partial-result
     // invariant total_lines == parsed + skipped when a retire fails.
     const std::size_t records = r.records.size();
-    builder.append_batch(std::move(r.records), r.symbols);
+    run.append(r.records, r.symbols);
     total_lines += r.lines;
     skipped += r.skipped;
     if (m.on()) {
@@ -211,22 +238,18 @@ void ingest_parallel_source(std::istream& in, LineParseFn parse, const ParseCont
 
 void ingest_scheduler_source(std::istream& in, const ParseContext& ctx,
                              const IngestOptions& options, jobs::JobTable& jobs,
-                             logmodel::StoreBuilder& builder, std::size_t& total_lines,
+                             RunRecords& run, std::size_t& total_lines,
                              std::size_t& skipped) {
   util::ChunkedLineReader reader(in, options.chunk_bytes);
   // The scheduler parser is stateful and sequential; it interns directly
-  // into the builder's table, so append() needs no remap.
+  // into the run's table and appends straight to the run's records.
   ParseContext sched_ctx = ctx;
-  sched_ctx.symbols = &builder.symbols();
+  sched_ctx.symbols = &run.symbols;
   SchedulerLogParser sched(sched_ctx, jobs);
   const IngestInstruments m = IngestInstruments::bind();
   std::size_t parsed_here = 0;
   std::size_t skipped_here = 0;
   std::string chunk;
-  // Records collect into a chunk-local batch and retire through one
-  // append_batch per chunk: symbols already live in the builder's table, so
-  // no remap is needed, and the builder skips per-record shard checks.
-  std::vector<logmodel::LogRecord> batch;
   while (reader.next(chunk)) {
     util::TraceSpan span("hpcfail.ingest.parse_chunk");
     if (m.on()) {
@@ -235,19 +258,16 @@ void ingest_scheduler_source(std::istream& in, const ParseContext& ctx,
     }
     util::scan::LineCursor cursor(chunk);
     std::string_view line;
-    batch.clear();
     while (cursor.next(line)) {
       ++total_lines;
       if (auto rec = sched.parse_line(line)) {
-        batch.push_back(*rec);
+        run.records.push_back(*rec);
         ++parsed_here;
       } else {
         ++skipped;
         ++skipped_here;
       }
     }
-    builder.append_batch(std::move(batch));
-    batch = {};
   }
   if (m.on()) {
     m.records_parsed->add(parsed_here);
@@ -301,7 +321,7 @@ IngestResult ingest_stream(const loggen::Corpus& header,
     return nullptr;
   };
 
-  logmodel::StoreBuilder builder(options.shard_records);
+  RunRecords run;
   std::size_t skipped = 0;
 
   for (const LogSource source : kParallelOrder) {
@@ -311,7 +331,7 @@ IngestResult ingest_stream(const loggen::Corpus& header,
                          util::trace_name_segment(logmodel::to_string(source)));
     out.error = run_source_guarded(source, [&] {
       ingest_parallel_source(*in, line_parser_for(source), ctx, options, pool, inflight,
-                             builder, out.total_lines, skipped);
+                             run, out.total_lines, skipped);
     });
     if (out.error) break;
   }
@@ -320,7 +340,7 @@ IngestResult ingest_stream(const loggen::Corpus& header,
     if (std::istream* in = stream_of(LogSource::Scheduler)) {
       util::TraceSpan span("hpcfail.ingest.source_scheduler");
       out.error = run_source_guarded(LogSource::Scheduler, [&] {
-        ingest_scheduler_source(*in, ctx, options, out.jobs, builder, out.total_lines,
+        ingest_scheduler_source(*in, ctx, options, out.jobs, run, out.total_lines,
                                 skipped);
       });
     }
@@ -331,9 +351,57 @@ IngestResult ingest_stream(const loggen::Corpus& header,
   // error is a record-accurate partial result, and the line accounting
   // (total_lines = parsed + skipped) covers exactly what was seen.
   out.skipped_lines = skipped;
-  out.parsed_records = builder.record_count();
-  out.store = builder.build(&pool);
+  out.parsed_records = run.records.size();
+  out.store = logmodel::LogStore{std::move(run.records), std::move(run.symbols)};
   return out;
+}
+
+namespace {
+
+/// Read-only streambuf over text the caller keeps alive, so a resident
+/// source feeds the chunked reader without first being copied into a
+/// stringstream.
+class TextViewBuf final : public std::streambuf {
+ public:
+  explicit TextViewBuf(std::string_view text) noexcept : text_(text) {}
+
+ protected:
+  std::streamsize xsgetn(char* out, std::streamsize n) override {
+    const std::size_t k = std::min(static_cast<std::size_t>(n), text_.size() - pos_);
+    std::memcpy(out, text_.data() + pos_, k);
+    pos_ += k;
+    return static_cast<std::streamsize>(k);
+  }
+  int_type underflow() override {
+    return pos_ < text_.size() ? traits_type::to_int_type(text_[pos_]) : traits_type::eof();
+  }
+  int_type uflow() override {
+    const int_type c = underflow();
+    if (!traits_type::eq_int_type(c, traits_type::eof())) ++pos_;
+    return c;
+  }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
+
+struct TextStream {
+  explicit TextStream(std::string_view text) : buf(text) {}
+  TextViewBuf buf;
+  std::istream in{&buf};
+};
+
+}  // namespace
+
+IngestResult ingest_corpus(const loggen::Corpus& corpus, const IngestOptions& options) {
+  std::deque<TextStream> streams;  // a deque never moves its elements
+  std::vector<SourceStream> sources;
+  for (std::size_t i = 0; i < logmodel::kLogSourceCount; ++i) {
+    if (corpus.text[i].empty()) continue;
+    sources.push_back({static_cast<LogSource>(i), &streams.emplace_back(corpus.text[i]).in});
+  }
+  return ingest_stream(corpus, sources, options);
 }
 
 IngestResult ingest_files(const std::string& dir, const IngestOptions& options) {

@@ -1,21 +1,26 @@
 #pragma once
-// Streaming, bounded-memory corpus ingestion: per-source log files ->
-// finalized LogStore + JobTable, without ever holding a full source text
-// or a full line-view vector in memory.
+// Corpus ingestion: raw text of every source -> finalized LogStore +
+// JobTable, through one chunked, bounded-memory pipeline.  On-disk corpora
+// (ingest_files), open streams (ingest_stream) and resident in-memory
+// corpora (ingest_corpus, which views each source string as a stream
+// without copying it) all run the same driver.
 //
 // The pipeline per non-scheduler source:
 //
-//   ChunkedLineReader --chunk--> ThreadPool parse task --records--> StoreBuilder
+//   ChunkedLineReader --chunk--> ThreadPool parse task --records--> append
 //
 // The reader hands out fixed-size chunks split on line boundaries; up to
 // `max_inflight_chunks` chunks are being parsed concurrently while the
-// next one is read (read -> parse -> shard pipelining); parsed chunks are
-// retired in submission order, so the record sequence reaching the
-// sharded builder is exactly the file's line order.  Peak text residency
-// is chunk_bytes x (inflight + 1) instead of the corpus size.
+// next one is read (read -> parse pipelining); parsed chunks are retired
+// in submission order, so the record sequence appended to the store is
+// exactly the file's line order, sources in kParallelOrder.  Each retired
+// chunk's SymbolTable is absorbed into the run's table at retirement, so
+// Symbol ids are the same for any thread count.  Peak text residency is
+// chunk_bytes x (inflight + 1) instead of the corpus size.
 //
 // The scheduler source is parsed sequentially (its lines mutate the
-// JobTable in order) but still streams chunk by chunk.
+// JobTable in order) but still streams chunk by chunk.  LogStore's
+// constructor then sorts the appended sequence stably by time.
 //
 // Error surface: malformed *lines* are skipped and counted (never fatal),
 // but *stream-level* failures — an I/O error mid-file, an allocation
@@ -27,9 +32,11 @@
 // not a damaged one.  The `ingest.*` fault sites (util/fault.hpp) let the
 // sweep in tests/faultinject_test.cpp provoke every degraded ending.
 //
-// Equivalence guarantee, pinned by tests/ingest_test.cpp: for the same
-// corpus bytes, ingest_files() and the in-memory parse_corpus() produce
-// identical ParsedCorpus contents (record order, indexes, line counts).
+// The serial reference this driver is checked against — split the text
+// into lines, parse them in order, stable_sort — lives in
+// tests/support/parse_oracle.hpp; tests/ingest_test.cpp pins the two to
+// identical records, indexes and line counts across chunk geometries and
+// thread counts.
 
 #include <cstddef>
 #include <iosfwd>
@@ -37,10 +44,26 @@
 #include <string>
 #include <vector>
 
-#include "parsers/corpus_parser.hpp"
+#include "jobs/job_table.hpp"
+#include "loggen/corpus.hpp"
+#include "logmodel/log_store.hpp"
 #include "parsers/source_parsers.hpp"
+#include "platform/topology.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpcfail::parsers {
+
+struct ParsedCorpus {
+  platform::SystemConfig system;
+  platform::Topology topology;
+  logmodel::LogStore store;
+  jobs::JobTable jobs;
+  util::TimePoint begin;  ///< log window start, from the manifest
+  int days = 0;           ///< log window length, from the manifest
+  std::size_t total_lines = 0;
+  std::size_t parsed_records = 0;
+  std::size_t skipped_lines = 0;  ///< malformed or not fault-relevant
+};
 
 /// What to do when a per-source log file named by the manifest layout is
 /// absent from the corpus directory.
@@ -60,9 +83,8 @@ struct IngestOptions {
   std::size_t chunk_bytes = std::size_t{1} << 18;
   /// Chunks parsed concurrently per source; 0 means 2 x pool size.
   std::size_t max_inflight_chunks = 0;
-  /// Records per StoreBuilder shard (bounds the per-shard sort).
-  std::size_t shard_records = std::size_t{1} << 16;
-  /// Pool for chunk parsing and shard sorting; null = shared default pool.
+  /// Pool for chunk parsing; null = shared default pool.  A 1-thread pool
+  /// parses fully serially.
   util::ThreadPool* pool = nullptr;
   /// Absent source files: skip-with-metric (default) or structured error.
   MissingFilePolicy missing_file_policy = MissingFilePolicy::Skip;
@@ -110,6 +132,12 @@ struct IngestResult : ParsedCorpus {
 /// data-plane failures come back as IngestResult::error.
 [[nodiscard]] IngestResult ingest_files(const std::string& dir,
                                         const IngestOptions& options = {});
+
+/// Ingests a resident corpus (e.g. loggen::build_corpus output) through
+/// the same pipeline, reading each non-empty source string in place.  The
+/// corpus's manifest fields set the system, topology and window.
+[[nodiscard]] IngestResult ingest_corpus(const loggen::Corpus& corpus,
+                                         const IngestOptions& options = {});
 
 /// Lower-level entry: `header` carries the manifest fields (system,
 /// topology, window); `sources` are parsed in the canonical source order

@@ -14,13 +14,13 @@
 #include <optional>
 #include <string>
 
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/snapshot.hpp"
 
 namespace hpcfail::parsers {
 
 /// Writes `corpus` (which must hold a finalized store and job table — any
-/// ParsedCorpus returned by parse_corpus/ingest_files qualifies) to `path`
+/// ParsedCorpus returned by the ingest entry points qualifies) to `path`
 /// as an hpcfail.store.v1 snapshot.
 [[nodiscard]] std::optional<util::SnapshotError> save_snapshot(
     const ParsedCorpus& corpus, const std::string& path);

@@ -17,8 +17,8 @@ struct ParseContext {
   const platform::Topology* topo = nullptr;
   /// Table detail strings are interned into, straight from the line's
   /// string_views (no per-record allocation).  Parsers yield nullopt when
-  /// unset, like topo.  On the streaming path each chunk task points this
-  /// at its chunk-local table; StoreBuilder remaps at retire time.
+  /// unset, like topo.  Each ingest chunk task points this at its
+  /// chunk-local table; ingest remaps at retire time.
   logmodel::SymbolTable* symbols = nullptr;
   /// Year of the corpus window's first day; syslog timestamps carry none.
   int base_year = 1970;

@@ -33,7 +33,6 @@
 
 #include "core/engine.hpp"
 #include "core/online_monitor.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
 #include "parsers/source_parsers.hpp"
 #include "serve/protocol.hpp"

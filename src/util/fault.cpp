@@ -26,7 +26,7 @@ constexpr std::string_view kSites[] = {
     "loggen.write.badbit",             // corpus log file write error
     "serve.request.parse",             // torn client request line on the protocol boundary
     "serve.tail.read_io",              // tail-file read I/O failure mid-poll
-    "store.append_batch.bad_alloc",    // shard append allocation failure
+    "store.append_batch.bad_alloc",    // ingest append allocation failure
     "store.snapshot.read_io",          // snapshot read/validate I/O failure
     "store.snapshot.write_io",         // snapshot section write I/O failure
     "store.symbol_absorb.bad_alloc",   // symbol-table merge allocation failure

@@ -11,7 +11,7 @@
 #include "core/root_cause.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "sensors/sensor_model.hpp"
 #include "stats/timeseries.hpp"
 
@@ -30,7 +30,7 @@ CorpusRun run_s1(std::uint64_t seed) {
             .run(),
         {}, {}, {}};
   r.corpus = loggen::build_corpus(r.sim);
-  r.parsed = parsers::parse_corpus(r.corpus);
+  r.parsed = parsers::ingest_corpus(r.corpus);
   const core::AnalysisContext ctx(
       r.parsed.store, &r.parsed.jobs, r.parsed.store.first_time(),
       r.parsed.store.last_time() + util::Duration::microseconds(1));

@@ -26,7 +26,7 @@
 #include "core/root_cause.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
@@ -43,7 +43,7 @@ Corpus make_corpus(platform::SystemName system, int days, std::uint64_t seed) {
   Corpus c;
   c.scenario = faultsim::scenario_preset(system, days, seed);
   const auto sim = faultsim::Simulator(c.scenario).run();
-  c.parsed = parsers::parse_corpus(loggen::build_corpus(sim));
+  c.parsed = parsers::ingest_corpus(loggen::build_corpus(sim));
   return c;
 }
 

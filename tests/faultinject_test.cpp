@@ -17,10 +17,10 @@
 #include "faultsim/scenario_io.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
 #include "serve/server.hpp"
+#include "support/parse_oracle.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -117,7 +117,7 @@ TEST(FaultInjectorTest, InventoryIsSortedUniqueAndStyled) {
 /// quietly shorter corpus (the pre-PR7 behavior).
 TEST(FaultInjectTest, BadbitSurfacesAsStructuredErrorNotTruncation) {
   const loggen::Corpus corpus = small_corpus();
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = "/tmp/hpcfail_faultinject_badbit";
   std::filesystem::remove_all(dir);
   loggen::write_corpus(corpus, dir);
@@ -184,7 +184,7 @@ void run_armed_pipeline(const std::string& site) {
   SCOPED_TRACE("armed site: " + site);
   const auto config = faultsim::scenario_preset(platform::SystemName::S2, 1, 4242);
   const loggen::Corpus corpus = small_corpus();
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = "/tmp/hpcfail_faultinject_sweep";
   std::filesystem::remove_all(dir);
 
@@ -225,7 +225,7 @@ void run_armed_pipeline(const std::string& site) {
     if (result.ok()) {
       // Graceful degradation: a record-accurate partial (or full) result.
       // Every line seen is either a record or an accounted skip, and the
-      // counters agree with the in-memory totals.
+      // counters agree with the reference totals.
       EXPECT_EQ(result.parsed_records + result.skipped_lines, result.total_lines);
       EXPECT_EQ(result.parsed_records, result.store.size());
       EXPECT_LE(result.parsed_records, reference.parsed_records);

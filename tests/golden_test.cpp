@@ -16,7 +16,7 @@
 #include "core/root_cause.hpp"
 #include "faultsim/scenario_io.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 
 namespace hpcfail {
 namespace {
@@ -39,7 +39,7 @@ class GoldenCorpus : public ::testing::Test {
     const std::string dir = golden_dir();
     if (dir.empty()) GTEST_SKIP() << "golden corpus not found";
     corpus_ = std::make_unique<loggen::Corpus>(loggen::read_corpus(dir));
-    parsed_ = std::make_unique<parsers::ParsedCorpus>(parsers::parse_corpus(*corpus_));
+    parsed_ = std::make_unique<parsers::ParsedCorpus>(parsers::ingest_corpus(*corpus_));
   }
   std::unique_ptr<loggen::Corpus> corpus_;
   std::unique_ptr<parsers::ParsedCorpus> parsed_;

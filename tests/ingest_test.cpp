@@ -1,8 +1,9 @@
-// Streaming-ingestion equivalence suite: the file-backed chunked path
-// (ingest_files / ingest_stream) must produce byte-identical results to
-// the in-memory parse_corpus path — same records in the same order, same
-// job table, same line accounting — for every system preset and for any
-// chunk/shard geometry, including pathological one-byte chunks.
+// Ingest equivalence suite: every entry point of the chunked pipeline
+// (ingest_files, ingest_stream, ingest_corpus) must produce byte-identical
+// results to the serial reference parser in tests/support/parse_oracle —
+// same records in the same order, same job table, same line accounting —
+// for every system preset, any thread count and any chunk geometry,
+// including pathological one-byte chunks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,10 +18,11 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
+#include "support/parse_oracle.hpp"
 #include "util/metrics.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace hpcfail {
 namespace {
@@ -43,8 +45,8 @@ void expect_records_equal(const logmodel::LogStore& want,
     ASSERT_EQ(a.cabinet, b.cabinet) << "record " << i;
     ASSERT_EQ(a.job_id, b.job_id) << "record " << i;
     ASSERT_EQ(a.value, b.value) << "record " << i;
-    // The two paths absorb worker tables in different orders, so Symbol
-    // ids may differ; the resolved text must not.
+    // The oracle interns into one table in line order while the pipeline
+    // absorbs chunk tables, so Symbol ids may differ; the text must not.
     ASSERT_EQ(want.detail(i), got.detail(i)) << "record " << i;
   }
 }
@@ -103,7 +105,7 @@ class IngestEquivalence : public ::testing::TestWithParam<IngestCase> {
         faultsim::Simulator(faultsim::scenario_preset(GetParam().system, 2, GetParam().seed))
             .run();
     corpus_ = loggen::build_corpus(sim);
-    reference_ = std::make_unique<parsers::ParsedCorpus>(parsers::parse_corpus(corpus_));
+    reference_ = std::make_unique<parsers::ParsedCorpus>(oracle::reference_parse(corpus_));
   }
 
   void TearDown() override {
@@ -115,22 +117,34 @@ class IngestEquivalence : public ::testing::TestWithParam<IngestCase> {
   std::string dir_;
 };
 
-TEST_P(IngestEquivalence, FilesMatchInMemoryParse) {
+TEST_P(IngestEquivalence, FilesMatchReferenceParse) {
   dir_ = write_to_temp(corpus_, GetParam().tag);
   const auto streamed = parsers::ingest_files(dir_);
   ASSERT_GT(streamed.parsed_records, 0u);
   expect_equivalent(*reference_, streamed);
 }
 
-TEST_P(IngestEquivalence, TinyChunksAndShardsMatch) {
-  // Pathological geometry: 57-byte chunks (every line spans chunks) and
-  // 64-record shards force maximal splitting and merging.
+TEST_P(IngestEquivalence, TinyChunksMatch) {
+  // Pathological geometry: 57-byte chunks (every line spans chunks) force
+  // maximal splitting, one symbol-table absorb per line or two, and a
+  // chunk seam inside nearly every record.
   dir_ = write_to_temp(corpus_, GetParam().tag);
   parsers::IngestOptions options;
   options.chunk_bytes = 57;
   options.max_inflight_chunks = 3;
-  options.shard_records = 64;
   expect_equivalent(*reference_, parsers::ingest_files(dir_, options));
+}
+
+TEST_P(IngestEquivalence, InMemoryCorpusMatchesAtOneAndFourThreads) {
+  // ingest_corpus reads the resident source strings through the same
+  // pipeline; the result must not depend on the pool size.
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const auto ingested = parsers::ingest_corpus(corpus_, {.pool = &pool});
+    EXPECT_TRUE(ingested.ok());
+    expect_equivalent(*reference_, ingested);
+  }
 }
 
 TEST_P(IngestEquivalence, StreamEntryMatchesWithShuffledSourceOrder) {
@@ -182,7 +196,7 @@ TEST(IngestEdgeTest, NoTrailingNewlineParsesLastLine) {
   auto& console = corpus.of(logmodel::LogSource::Console);
   ASSERT_FALSE(console.empty());
   console.pop_back();  // drop the final '\n'
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = write_to_temp(corpus, "no_trailing_nl");
   expect_equivalent(reference, parsers::ingest_files(dir));
   std::filesystem::remove_all(dir);
@@ -190,13 +204,13 @@ TEST(IngestEdgeTest, NoTrailingNewlineParsesLastLine) {
 
 TEST(IngestEdgeTest, TruncatedFileMatchesTruncatedText) {
   // A file chopped mid-line (e.g. copied while being written) must degrade
-  // exactly like the in-memory parse of the same truncated text: complete
+  // exactly like the reference parse of the same truncated text: complete
   // lines parse, the partial tail line is skipped, nothing crashes.
   loggen::Corpus corpus = small_corpus();
   auto& console = corpus.of(logmodel::LogSource::Console);
   ASSERT_GT(console.size(), 100u);
   console.resize(console.size() - 37);  // mid-line with high probability
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = write_to_temp(corpus, "truncated");
   expect_equivalent(reference, parsers::ingest_files(dir));
   std::filesystem::remove_all(dir);
@@ -208,7 +222,7 @@ TEST(IngestEdgeTest, EmptySourceFileIsSkipped) {
   const std::string dir = write_to_temp(corpus, "empty_file");
   // Zero-byte file alongside real ones: opens fine, yields no lines.
   std::ofstream(std::filesystem::path(dir) / "erd.log", std::ios::binary).close();
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   expect_equivalent(reference, parsers::ingest_files(dir));
   std::filesystem::remove_all(dir);
 }
@@ -216,14 +230,14 @@ TEST(IngestEdgeTest, EmptySourceFileIsSkipped) {
 // ---------------------------------------------------- observability ----
 
 /// Seeded sweep over 32 log-uniform chunk sizes in [1, 1 MiB]: every
-/// geometry must reproduce the in-memory parse record for record, and the
+/// geometry must reproduce the reference parse record for record, and the
 /// ingest counters must account for the corpus exactly — bytes_read equals
 /// the total size of the ingested .log files (ChunkedLineReader passes
 /// bytes through untouched), records_parsed/lines_skipped equal the parse
 /// totals.
 TEST(IngestObservability, RandomChunkSizeSweepPreservesRecordsAndCounters) {
   const loggen::Corpus corpus = small_corpus();
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = write_to_temp(corpus, "chunk_sweep");
 
   std::uintmax_t corpus_bytes = 0;
@@ -274,7 +288,7 @@ TEST(IngestObservability, RandomChunkSizeSweepPreservesRecordsAndCounters) {
 
 TEST(IngestEdgeTest, SerialPoolMatchesSharedPool) {
   const loggen::Corpus corpus = small_corpus();
-  const auto reference = parsers::parse_corpus(corpus);
+  const auto reference = oracle::reference_parse(corpus);
   const std::string dir = write_to_temp(corpus, "serial_pool");
   util::ThreadPool serial(1);
   parsers::IngestOptions options;

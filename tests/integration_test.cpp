@@ -12,7 +12,7 @@
 #include "core/root_cause.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 
 namespace hpcfail {
 namespace {
@@ -28,7 +28,7 @@ Pipeline run_pipeline(platform::SystemName system, int days, std::uint64_t seed)
   Pipeline p{faultsim::Simulator(faultsim::scenario_preset(system, days, seed)).run(),
              {}, {}, {}};
   p.corpus = loggen::build_corpus(p.sim);
-  p.parsed = parsers::parse_corpus(p.corpus);
+  p.parsed = parsers::ingest_corpus(p.corpus);
   const core::AnalysisContext ctx(
       p.parsed.store, &p.parsed.jobs, p.parsed.store.first_time(),
       p.parsed.store.last_time() + util::Duration::microseconds(1));

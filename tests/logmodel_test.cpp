@@ -1,14 +1,17 @@
-// Unit and property tests for src/logmodel: taxonomy consistency, LogStore.
+// Unit and property tests for src/logmodel: taxonomy consistency, LogStore,
+// and a differential check of LogStore's sort against std::stable_sort.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "logmodel/cause.hpp"
 #include "logmodel/event_type.hpp"
 #include "logmodel/log_store.hpp"
-#include <stdexcept>
-
-#include "logmodel/store_builder.hpp"
 #include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail::logmodel {
 namespace {
@@ -89,22 +92,6 @@ TEST(LogStoreTest, SortsByTime) {
   EXPECT_EQ(store[2].type, EventType::KernelPanic);
   EXPECT_EQ(store.first_time().unix_seconds(), 10);
   EXPECT_EQ(store.last_time().unix_seconds(), 30);
-}
-
-TEST(LogStoreTest, FromSortedRejectsNonMonotonicTimes) {
-  std::vector<LogRecord> sorted;
-  sorted.push_back(make_record(10, EventType::HardwareError, 1));
-  sorted.push_back(make_record(20, EventType::KernelPanic, 1));
-  EXPECT_EQ(LogStore::from_sorted(sorted, {}).size(), 2u);
-
-  // A breach anywhere in the input must throw, not silently build a store
-  // whose binary-searched range queries would return garbage.
-  std::vector<LogRecord> breached;
-  breached.push_back(make_record(10, EventType::HardwareError, 1));
-  breached.push_back(make_record(30, EventType::KernelPanic, 1));
-  breached.push_back(make_record(20, EventType::NodeBoot, 1));
-  EXPECT_THROW((void)LogStore::from_sorted(std::move(breached), {}),
-               std::logic_error);
 }
 
 TEST(LogStoreTest, RangeQueryHalfOpen) {
@@ -221,92 +208,78 @@ TEST(LogStoreTest, QueriesOnNonFinalizedStoreThrow) {
   EXPECT_EQ(store.first_time().unix_seconds(), 5);
 }
 
-// ------------------------------------------------------- StoreBuilder ----
+// ------------------------------------------- finalize differential ----
+//
+// LogStore::finalize sorts with a natural-run merge; std::stable_sort is
+// its reference.  Every record's detail holds its append position, so the
+// comparison also sees the order of time-tied records.
 
-/// Time-tied records tagged with their append order in `detail` (interned
-/// into `symbols`); the sharded build must reproduce the global
-/// stable_sort order exactly.
-std::vector<LogRecord> tied_sequence(std::size_t n, std::uint64_t seed,
-                                     SymbolTable& symbols) {
-  util::Rng rng(seed);
-  std::vector<LogRecord> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto r = make_record(rng.uniform_int(0, 49), EventType::KernelPanic,
-                         static_cast<std::uint32_t>(i % 7));
+void expect_matches_stable_sort(const std::vector<std::int64_t>& seconds) {
+  SymbolTable symbols;
+  std::vector<LogRecord> records;
+  for (std::size_t i = 0; i < seconds.size(); ++i) {
+    LogRecord r = make_record(seconds[i], EventType::KernelPanic,
+                              static_cast<std::uint32_t>(i % 7));
     r.detail = symbols.intern(std::to_string(i));
-    out.push_back(r);
+    records.push_back(r);
   }
-  return out;
-}
+  std::vector<LogRecord> want = records;
+  std::stable_sort(want.begin(), want.end(),
+                   [](const LogRecord& a, const LogRecord& b) { return a.time < b.time; });
 
-void expect_same_order(const LogStore& want, const LogStore& got) {
-  ASSERT_EQ(want.size(), got.size());
+  const LogStore store{std::move(records), symbols};
+  ASSERT_EQ(store.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    ASSERT_EQ(want[i].time, got[i].time) << i;
-    ASSERT_EQ(want.detail(i), got.detail(i)) << i;
+    ASSERT_EQ(store[i].time, want[i].time) << "record " << i;
+    ASSERT_EQ(store.detail(i), symbols.view(want[i].detail)) << "record " << i;
   }
 }
 
-TEST(StoreBuilderTest, MatchesGlobalStableSort) {
-  SymbolTable symbols;
-  const auto sequence = tied_sequence(1000, 31, symbols);
-  const LogStore reference{std::vector<LogRecord>(sequence), symbols};
+TEST(LogStoreFinalize, TrivialInputs) {
+  expect_matches_stable_sort({});
+  expect_matches_stable_sort({5});
+  expect_matches_stable_sort(std::vector<std::int64_t>(500, 7));  // all ties
+}
 
-  StoreBuilder builder(64);  // ~16 shards
-  builder.symbols() = symbols;  // sequence Symbols stay valid in the builder
-  util::Rng rng(32);
-  std::size_t i = 0;
-  while (i < sequence.size()) {
-    // Mixed single appends and batches of arbitrary size, like the
-    // ingestion pipeline's chunk retirement produces.
-    const auto batch = static_cast<std::size_t>(rng.uniform_int(1, 150));
-    if (batch == 1) {
-      builder.append(sequence[i++]);
-    } else {
-      const std::size_t hi = std::min(sequence.size(), i + batch);
-      builder.append_batch({sequence.begin() + static_cast<std::ptrdiff_t>(i),
-                            sequence.begin() + static_cast<std::ptrdiff_t>(hi)});
-      i = hi;
+TEST(LogStoreFinalize, SortedAndReversed) {
+  std::vector<std::int64_t> sorted;
+  for (std::int64_t i = 0; i < 1000; ++i) sorted.push_back(i / 3);  // runs of ties
+  expect_matches_stable_sort(sorted);
+  expect_matches_stable_sort({sorted.rbegin(), sorted.rend()});
+}
+
+TEST(LogStoreFinalize, ManyShortRuns) {
+  // The simulator's shape: thousands of short ascending runs (one per
+  // emitted event chain) scattered over the window, with frequent ties.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<std::int64_t> seconds;
+    while (seconds.size() < 4000) {
+      std::int64_t t = rng.uniform_int(0, 999);
+      for (auto n = rng.uniform_int(1, 8); n > 0; --n) {
+        seconds.push_back(t);
+        t += rng.uniform_int(0, 3);
+      }
     }
+    expect_matches_stable_sort(seconds);
   }
-  EXPECT_EQ(builder.record_count(), sequence.size());
-  EXPECT_GT(builder.shard_count(), 1u);
-  expect_same_order(reference, builder.build());
 }
 
-TEST(StoreBuilderTest, ParallelShardSortMatchesSerial) {
-  SymbolTable symbols;
-  const auto sequence = tied_sequence(500, 77, symbols);
-  const LogStore reference{std::vector<LogRecord>(sequence), symbols};
-  util::ThreadPool pool(4);
-  StoreBuilder builder(32);
-  // The two-arg overload remaps through absorb(); ids differ but the
-  // resolved text must not.
-  builder.append_batch(std::vector<LogRecord>(sequence), symbols);
-  expect_same_order(reference, builder.build(&pool));
-}
-
-TEST(StoreBuilderTest, OversizedBatchKeepsContiguity) {
-  // A batch larger than shard_records becomes its own shard; interleaving
-  // with single appends must still reproduce the stable order.
-  SymbolTable symbols;
-  const auto sequence = tied_sequence(300, 5, symbols);
-  const LogStore reference{std::vector<LogRecord>(sequence), symbols};
-  StoreBuilder builder(16);
-  builder.symbols() = symbols;
-  builder.append(sequence[0]);
-  builder.append_batch({sequence.begin() + 1, sequence.begin() + 200});
-  for (std::size_t i = 200; i < sequence.size(); ++i) builder.append(sequence[i]);
-  expect_same_order(reference, builder.build());
-}
-
-TEST(StoreBuilderTest, EmptyBuildYieldsUsableStore) {
-  StoreBuilder builder;
-  const LogStore store = builder.build();
-  EXPECT_TRUE(store.finalized());
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_EQ(store.count_of_type(EventType::KernelPanic), 0u);
+TEST(LogStoreFinalize, SortedPlusLateInterleavedTail) {
+  // A tail poll's shape: a sorted base plus a few late records whose times
+  // fall between (and tie with) base records.
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    std::vector<std::int64_t> seconds;
+    for (std::int64_t i = 0; i < 2000; ++i) seconds.push_back(i / 2);
+    std::vector<std::int64_t> tail;
+    for (int i = 0; i < 16; ++i) tail.push_back(rng.uniform_int(0, 999));
+    std::sort(tail.begin(), tail.end());
+    seconds.insert(seconds.end(), tail.begin(), tail.end());
+    expect_matches_stable_sort(seconds);
+  }
 }
 
 }  // namespace

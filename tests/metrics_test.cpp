@@ -23,7 +23,7 @@
 #include "faultsim/scenario.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "support/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
@@ -356,7 +356,7 @@ TEST(PipelineObservability, TraceCoversSimulatorEngineAndContextPhases) {
                        hpcfail::platform::SystemName::S1, 4, 41))
                    .run();
     const auto corpus = hpcfail::loggen::build_corpus(sim);
-    const auto parsed = hpcfail::parsers::parse_corpus(corpus, &pool);
+    const auto parsed = hpcfail::parsers::ingest_corpus(corpus, {.pool = &pool});
     result = engine.analyze(parsed);
   }
 

@@ -4,7 +4,7 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "parsers/line_classifier.hpp"
 #include "parsers/source_parsers.hpp"
 #include "util/rng.hpp"
@@ -398,7 +398,7 @@ TEST(CorpusParseTest, NewYearStraddlingWindowDatesRecordsInWindow) {
   auto config = faultsim::scenario_preset(platform::SystemName::S2, 5, 1231);
   config.begin = util::make_time(2014, 12, 29);
   const auto sim = faultsim::Simulator(config).run();
-  const auto parsed = parse_corpus(loggen::build_corpus(sim));
+  const auto parsed = ingest_corpus(loggen::build_corpus(sim));
   ASSERT_GT(parsed.parsed_records, 0u);
 
   const auto begin = config.begin;
@@ -440,8 +440,8 @@ TEST(CorpusParseTest, CrlfCorpusParsesIdentically) {
     text = std::move(converted);
   }
 
-  const auto want = parse_corpus(corpus);
-  const auto got = parse_corpus(crlf);
+  const auto want = ingest_corpus(corpus);
+  const auto got = ingest_corpus(crlf);
   EXPECT_EQ(want.total_lines, got.total_lines);
   EXPECT_EQ(want.parsed_records, got.parsed_records);
   EXPECT_EQ(want.skipped_lines, got.skipped_lines);

@@ -19,7 +19,7 @@
 #include "core/markdown_report.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -41,7 +41,7 @@ std::string golden_dir() {
 std::string generate_report(platform::SystemName system, util::ThreadPool* pool) {
   const auto sim = faultsim::Simulator(faultsim::scenario_preset(system, 3, 4200)).run();
   const auto corpus = loggen::build_corpus(sim);
-  const auto parsed = parsers::parse_corpus(corpus, pool);
+  const auto parsed = parsers::ingest_corpus(corpus, {.pool = pool});
   core::ReportInputs inputs;
   inputs.store = &parsed.store;
   inputs.jobs = &parsed.jobs;

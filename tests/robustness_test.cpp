@@ -12,7 +12,6 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "loggen/degrade.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
 
 namespace hpcfail {
@@ -38,7 +37,7 @@ const Baseline& baseline() {
         faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S1, 7, 606))
             .run();
     auto corpus = loggen::build_corpus(sim);
-    const auto parsed = parsers::parse_corpus(corpus);
+    const auto parsed = parsers::ingest_corpus(corpus);
     const auto failures = diagnose_all(parsed);
     return Baseline{std::move(sim), std::move(corpus), failures.size()};
   }();
@@ -46,7 +45,7 @@ const Baseline& baseline() {
 }
 
 std::size_t detect_on(const loggen::Corpus& corpus) {
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   return diagnose_all(parsed).size();
 }
 
@@ -64,7 +63,7 @@ TEST(RobustnessTest, HeavyCorruptionNeverCrashes) {
   loggen::DegradeConfig cfg;
   cfg.corrupt_line_fraction = 0.5;
   const auto degraded = loggen::degrade_corpus(baseline().corpus, cfg);
-  const auto parsed = parsers::parse_corpus(degraded);
+  const auto parsed = parsers::ingest_corpus(degraded);
   EXPECT_GT(parsed.skipped_lines, 0u);  // corruption rejects some lines
   const auto failures = diagnose_all(parsed);
   EXPECT_GT(failures.size(), 0u);
@@ -76,7 +75,7 @@ TEST(RobustnessTest, MissingTimeWindowRemovesThoseFailures) {
   cfg.gap_begin = b.corpus.begin + util::Duration::days(2);
   cfg.gap_end = b.corpus.begin + util::Duration::days(4);
   const auto degraded = loggen::degrade_corpus(b.corpus, cfg);
-  const auto parsed = parsers::parse_corpus(degraded);
+  const auto parsed = parsers::ingest_corpus(degraded);
   // The gap is empty of records.
   EXPECT_TRUE(parsed.store.range(*cfg.gap_begin, *cfg.gap_end).empty());
   // Failures outside the gap still detected.
@@ -93,7 +92,7 @@ TEST(RobustnessTest, DroppingExternalSourcesKillsLeadTimeOnly) {
   cfg.drop_source[static_cast<std::size_t>(logmodel::LogSource::Erd)] = true;
   cfg.drop_source[static_cast<std::size_t>(logmodel::LogSource::Controller)] = true;
   const auto degraded = loggen::degrade_corpus(baseline().corpus, cfg);
-  const auto parsed = parsers::parse_corpus(degraded);
+  const auto parsed = parsers::ingest_corpus(degraded);
   const auto failures = diagnose_all(parsed);
   // Detection barely changes (it is internal-log driven)...
   EXPECT_GT(failures.size(), baseline().failures * 9 / 10);
@@ -125,7 +124,7 @@ parsers::IngestResult ingest_damaged(const loggen::Corpus& corpus) {
 }
 
 void expect_accounting_matches(const loggen::Corpus& damaged) {
-  const auto reference = parsers::parse_corpus(damaged);
+  const auto reference = parsers::ingest_corpus(damaged);
   const auto streamed = ingest_damaged(damaged);
   ASSERT_TRUE(streamed.ok());
   EXPECT_EQ(streamed.total_lines, reference.total_lines);

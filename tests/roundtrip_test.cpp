@@ -9,7 +9,7 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 
 namespace hpcfail {
 namespace {
@@ -30,7 +30,7 @@ class RoundTrip : public ::testing::TestWithParam<RoundTripCase> {
         faultsim::Simulator(faultsim::scenario_preset(GetParam().system, 3, GetParam().seed))
             .run());
     corpus_ = loggen::build_corpus(*sim_);
-    parsed_ = std::make_unique<parsers::ParsedCorpus>(parsers::parse_corpus(corpus_));
+    parsed_ = std::make_unique<parsers::ParsedCorpus>(parsers::ingest_corpus(corpus_));
   }
 
   /// Originals that are expected to survive the text round trip.

@@ -14,11 +14,12 @@
 #include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "serve/json.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
@@ -79,7 +80,7 @@ Booted boot() {
           faultsim::scenario_preset(platform::SystemName::S2, 1, 4242))
           .run();
   out.corpus = loggen::build_corpus(sim);
-  auto parsed = parsers::parse_corpus(out.corpus);
+  auto parsed = parsers::ingest_corpus(out.corpus);
   out.base_records = parsed.store.size();
   out.tail_line = last_parsable_line(parsed, out.corpus);
   out.server = std::make_unique<serve::Server>(std::move(parsed));
@@ -100,27 +101,33 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
   constexpr std::uint64_t kAdvances = 8;
 
   std::atomic<bool> stop{false};
+  // Clients that have sent one request of every verb.  The writer waits
+  // for all of them, so the load always covers every verb and overlaps
+  // the tail advances however fast an epoch rebuild is.
+  std::atomic<int> warmed{0};
   util::ThreadPool pool(kClients);
   std::vector<std::future<std::vector<std::string>>> clients;
   clients.reserve(kClients);
   for (int c = 0; c < kClients; ++c) {
-    clients.push_back(pool.submit([srv = &server, &stop, c] {
+    clients.push_back(pool.submit([srv = &server, &stop, &warmed, c] {
       // Mixed load: cheap verbs, cached-analysis verbs, and the status
       // verb whose payload the main thread cross-checks per epoch.
       static constexpr const char* kVerbs[] = {"status", "ping", "causes",
                                                "lead_time", "status"};
       std::vector<std::string> responses;
       responses.reserve(kQueriesPerClient);
-      for (int i = 0; i < kQueriesPerClient && !stop.load(); ++i) {
+      for (int i = 0; i < kQueriesPerClient && (i < 5 || !stop.load()); ++i) {
         std::string request = R"({"id":)" + std::to_string(c * 1000 + i) +
                               R"(,"verb":")" + kVerbs[i % 5] + R"("})";
         responses.push_back(srv->handle_line(request));
+        if (i == 4) warmed.fetch_add(1);
       }
       return responses;
     }));
   }
 
   // The single writer: advance the tail while the clients are in flight.
+  while (warmed.load() < kClients) std::this_thread::yield();
   for (std::uint64_t advance = 1; advance <= kAdvances; ++advance) {
     {
       std::ofstream tail(tail_path, std::ios::app | std::ios::binary);

@@ -20,7 +20,7 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
@@ -85,7 +85,7 @@ Booted boot(platform::SystemName system, int days, unsigned seed,
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(system, days, seed)).run();
   out.corpus = loggen::build_corpus(sim);
-  auto parsed = parsers::parse_corpus(out.corpus);
+  auto parsed = parsers::ingest_corpus(out.corpus);
   out.base_records = parsed.store.size();
   if (!parsed.store.nodes().empty()) {
     out.node_name =

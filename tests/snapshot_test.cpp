@@ -25,7 +25,7 @@
 #include "loggen/corpus.hpp"
 #include "logmodel/log_store.hpp"
 #include "logmodel/symbol_table.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
 #include "serve/server.hpp"
 #include "util/csr.hpp"
@@ -446,7 +446,9 @@ TEST(JobTableSnapshotTest, RoundtripPreservesJobsAndNodeIndex) {
       const auto* want_hit = table.job_on_node_at(node, job.start);
       const auto* got_hit = back.job_on_node_at(node, job.start);
       ASSERT_EQ(want_hit != nullptr, got_hit != nullptr);
-      if (want_hit != nullptr) EXPECT_EQ(got_hit->job_id, want_hit->job_id);
+      if (want_hit != nullptr) {
+        EXPECT_EQ(got_hit->job_id, want_hit->job_id);
+      }
     }
   }
 }
@@ -460,7 +462,7 @@ TEST(CorpusSnapshotTest, LoadedSnapshotReportsByteIdenticalToTextParse) {
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 42))
           .run();
   const auto corpus = loggen::build_corpus(sim);
-  const auto parsed = parsers::parse_corpus(corpus);
+  const auto parsed = parsers::ingest_corpus(corpus);
   ASSERT_GT(parsed.parsed_records, 0u);
 
   const ScratchFile file("corpus_s2");
@@ -496,7 +498,7 @@ TEST(CorpusSnapshotTest, LoadedSnapshotReportsByteIdenticalToTextParse) {
 }
 
 TEST(CorpusSnapshotTest, CorruptFileYieldsErrorAndEmptyCorpus) {
-  const auto parsed = parsers::parse_corpus(loggen::build_corpus(small_sim()));
+  const auto parsed = parsers::ingest_corpus(loggen::build_corpus(small_sim()));
   const ScratchFile file("corpus_corrupt");
   ASSERT_FALSE(parsers::save_snapshot(parsed, file.path()));
 
@@ -534,7 +536,7 @@ TEST(CorpusSnapshotTest, SnapshotBootedDaemonAnswersByteIdenticalToTextBoot) {
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 42))
           .run();
   const auto corpus = loggen::build_corpus(sim);
-  auto from_text = parsers::parse_corpus(corpus);
+  auto from_text = parsers::ingest_corpus(corpus);
   ASSERT_GT(from_text.parsed_records, 0u);
   const std::string node_name = std::string(
       from_text.topology.node_name(from_text.store.nodes().front()));
@@ -565,7 +567,7 @@ TEST(CorpusSnapshotTest, SnapshotBootedDaemonAnswersByteIdenticalToTextBoot) {
 // --------------------------------------------------- snapshot fault sites ----
 
 TEST(SnapshotFaultTest, InjectedWriteFailureSurfacesStructuredIoError) {
-  const auto parsed = parsers::parse_corpus(loggen::build_corpus(small_sim()));
+  const auto parsed = parsers::ingest_corpus(loggen::build_corpus(small_sim()));
   const ScratchFile file("fault_write");
 
   util::FaultInjector inj;
@@ -586,7 +588,7 @@ TEST(SnapshotFaultTest, InjectedWriteFailureSurfacesStructuredIoError) {
 }
 
 TEST(SnapshotFaultTest, InjectedReadFailureSurfacesStructuredIoError) {
-  const auto parsed = parsers::parse_corpus(loggen::build_corpus(small_sim()));
+  const auto parsed = parsers::ingest_corpus(loggen::build_corpus(small_sim()));
   const ScratchFile file("fault_read");
   ASSERT_FALSE(parsers::save_snapshot(parsed, file.path()));
 

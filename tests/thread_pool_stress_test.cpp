@@ -14,7 +14,7 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
+#include "parsers/ingest.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -132,14 +132,14 @@ TEST(ThreadPoolStress, DefaultPoolSharedAcrossThreads) {
 
 // Concurrent ingestion: several threads parse the same corpus through the
 // shared default pool at once.  Results must be identical run-to-run (the
-// shard-per-source pipeline is deterministic regardless of interleaving).
+// chunk pipeline retires in FIFO order regardless of interleaving).
 TEST(ThreadPoolStress, ConcurrentCorpusIngestionIsDeterministic) {
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S3, 2, 1234))
           .run();
   const loggen::Corpus corpus = loggen::build_corpus(sim);
 
-  const parsers::ParsedCorpus baseline = parsers::parse_corpus(corpus);
+  const parsers::ParsedCorpus baseline = parsers::ingest_corpus(corpus);
 
   constexpr std::size_t kThreads = 4;
   std::vector<std::unique_ptr<parsers::ParsedCorpus>> results(kThreads);
@@ -147,7 +147,7 @@ TEST(ThreadPoolStress, ConcurrentCorpusIngestionIsDeterministic) {
   workers.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     workers.emplace_back([t, &corpus, &results] {
-      results[t] = std::make_unique<parsers::ParsedCorpus>(parsers::parse_corpus(corpus));
+      results[t] = std::make_unique<parsers::ParsedCorpus>(parsers::ingest_corpus(corpus));
     });
   }
   for (auto& w : workers) w.join();

@@ -7,6 +7,7 @@
 #include <sys/resource.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -22,12 +23,18 @@
 #include "parsers/snapshot.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
 
 using namespace hpcfail;
+
+/// Bounds for the numeric flags.
+constexpr std::uint64_t kMaxDays = 3650;
+constexpr std::uint64_t kMaxThreads = 1024;
+constexpr std::uint64_t kMaxChunkBytes = std::uint64_t{1} << 30;
 
 void usage(std::FILE* to) {
   std::fputs(
@@ -44,7 +51,6 @@ void usage(std::FILE* to) {
       "  --seed N           simulation seed for --preset (default 42)\n"
       "  --threads N        pool threads (default: hardware concurrency)\n"
       "  --chunk-bytes N    chunk size in bytes (default 256 KiB)\n"
-      "  --shard-records N  records per store shard (default 65536)\n"
       "  --keep             keep the --preset temp directory\n"
       "  --snapshot-out F   after a clean ingest, save the parsed corpus as\n"
       "                     an hpcfail.store.v1 snapshot (see hpcfail-store)\n"
@@ -112,6 +118,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags take a whole decimal number in [lo, hi]; anything else
+    // (empty, signed, trailing junk, out of range) is a usage error.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const char* flag = argv[i];
+      const char* text = value();
+      const auto n = util::parse_u64(text);
+      if (n && *n >= lo && *n <= hi) return *n;
+      std::fprintf(stderr, "hpcfail-ingest: %s expects a whole number in %llu..%llu, got '%s'\n",
+                   flag, static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi), text);
+      std::exit(2);
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
@@ -124,15 +142,13 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--days") {
-      days = std::atoi(value());
+      days = static_cast<int>(number(1, kMaxDays));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(value()));
+      seed = number(0, UINT64_MAX);
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoll(value()));
+      threads = static_cast<std::size_t>(number(0, kMaxThreads));
     } else if (arg == "--chunk-bytes") {
-      options.chunk_bytes = static_cast<std::size_t>(std::atoll(value()));
-    } else if (arg == "--shard-records") {
-      options.shard_records = static_cast<std::size_t>(std::atoll(value()));
+      options.chunk_bytes = static_cast<std::size_t>(number(1, kMaxChunkBytes));
     } else if (arg == "--keep") {
       keep = true;
     } else if (arg == "--snapshot-out") {

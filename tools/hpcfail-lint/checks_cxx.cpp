@@ -217,24 +217,17 @@ void scan_temporary_view_bindings(const SourceFile& file, Report& report) {
     if (toks[i].kind != Token::Kind::Identifier || kClasses.count(toks[i].text) == 0) {
       continue;
     }
-    // `LogStore(...)` / `LogStore{...}` temporary, or `LogStore::from_sorted(...)`.
-    std::size_t open = toks.size();
-    if (is_punct(toks[i + 1], "(") || is_punct(toks[i + 1], "{")) {
-      // Skip constructor definitions (`LogStore::LogStore(`) and class
-      // definitions (`class LogStore {`).
-      if (i >= 2 && is_punct(toks[i - 1], "::") && toks[i - 2].text == toks[i].text) {
-        continue;
-      }
-      if (i >= 1 && (is_ident(toks[i - 1], "class") || is_ident(toks[i - 1], "struct"))) {
-        continue;
-      }
-      open = i + 1;
-    } else if (i + 3 < toks.size() && is_punct(toks[i + 1], "::") &&
-               is_ident(toks[i + 2], "from_sorted") && is_punct(toks[i + 3], "(")) {
-      open = i + 3;
-    } else {
+    // A `LogStore(...)` / `LogStore{...}` temporary.
+    if (!is_punct(toks[i + 1], "(") && !is_punct(toks[i + 1], "{")) continue;
+    // Skip constructor definitions (`LogStore::LogStore(`) and class
+    // definitions (`class LogStore {`).
+    if (i >= 2 && is_punct(toks[i - 1], "::") && toks[i - 2].text == toks[i].text) {
       continue;
     }
+    if (i >= 1 && (is_ident(toks[i - 1], "class") || is_ident(toks[i - 1], "struct"))) {
+      continue;
+    }
+    const std::size_t open = i + 1;
     const std::size_t close = matching_close(toks, open);
     if (close + 3 >= toks.size()) continue;
     if (!is_punct(toks[close + 1], ".")) continue;

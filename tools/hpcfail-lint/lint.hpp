@@ -170,9 +170,7 @@ void check_raw_sync(SourceTree& tree, Report& report);
 /// or a split_lines() call there silently reintroduces the byte-at-a-time
 /// scanning and per-chunk line-vector allocation the SWAR/SIMD scan layer
 /// removed.  Honors `// hpcfail-lint: allow(hot-path-scan) -- <reason>` for
-/// the cold paths that legitimately keep the simpler idiom (e.g. the
-/// in-memory corpus parser, which needs random access to line indices for
-/// sharding).
+/// the cold paths that legitimately keep the simpler idiom.
 void check_hot_path_scan(SourceTree& tree, Report& report);
 
 /// The render hot path (src/loggen/renderer.cpp and nid_ranges.cpp) must

@@ -6,6 +6,7 @@
 // socket's client, so a scripted CI session needs no external tools.
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 structured
 // boot error (snapshot/ingest).
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -18,19 +19,23 @@
 
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
-#include "parsers/corpus_parser.hpp"
 #include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
 
 using namespace hpcfail;
+
+/// Bounds for the numeric flags.
+constexpr std::uint64_t kMaxDays = 3650;
+constexpr std::uint64_t kMaxThreads = 1024;
 
 void usage(std::FILE* to) {
   std::fputs(
@@ -121,6 +126,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags take a whole decimal number in [lo, hi]; anything else
+    // (empty, signed, trailing junk, out of range) is a usage error.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const char* flag = argv[i];
+      const char* text = value();
+      const auto n = util::parse_u64(text);
+      if (n && *n >= lo && *n <= hi) return *n;
+      std::fprintf(stderr, "hpcfail-serve: %s expects a whole number in %llu..%llu, got '%s'\n",
+                   flag, static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi), text);
+      std::exit(2);
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
@@ -135,9 +152,9 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--days") {
-      days = std::atoi(value());
+      days = static_cast<int>(number(1, kMaxDays));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(value()));
+      seed = number(0, UINT64_MAX);
     } else if (arg == "--stdio") {
       // the default; accepted for explicit scripts
     } else if (arg == "--socket") {
@@ -159,13 +176,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--tail-replay") {
       tail_replay = true;
     } else if (arg == "--window-days") {
-      window_days = std::atoi(value());
-      if (window_days <= 0) {
-        std::fputs("hpcfail-serve: --window-days expects a positive count\n", stderr);
-        return 2;
-      }
+      window_days = static_cast<int>(number(1, kMaxDays));
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoll(value()));
+      threads = static_cast<std::size_t>(number(0, kMaxThreads));
     } else if (arg == "--metrics-out") {
       metrics_path = value();
     } else if (arg.rfind("--metrics-out=", 0) == 0) {
@@ -244,20 +257,23 @@ int main(int argc, char** argv) {
         return 3;
       }
       corpus = std::move(loaded);
-    } else if (!dir.empty()) {
+    } else {
       parsers::IngestOptions options;
       options.pool = &pool;
-      auto ingested = parsers::ingest_files(dir, options);
+      parsers::IngestResult ingested;
+      if (!dir.empty()) {
+        ingested = parsers::ingest_files(dir, options);
+      } else {
+        const auto sim =
+            faultsim::Simulator(faultsim::scenario_preset(*preset, days, seed)).run();
+        ingested = parsers::ingest_corpus(loggen::build_corpus(sim), options);
+      }
       if (!ingested.ok()) {
         std::fprintf(stderr, "hpcfail-serve: ingest error: %s\n",
                      ingested.error->to_string().c_str());
         return 3;
       }
       corpus = std::move(ingested);
-    } else {
-      const auto sim =
-          faultsim::Simulator(faultsim::scenario_preset(*preset, days, seed)).run();
-      corpus = parsers::parse_corpus(loggen::build_corpus(sim), &pool);
     }
 
     serve::ServerConfig config;

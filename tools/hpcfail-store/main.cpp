@@ -6,6 +6,7 @@
 // Exit codes: 0 success, 1 runtime failure, 2 usage error, 3 structured
 // snapshot/ingest error.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -19,11 +20,16 @@
 #include "parsers/ingest.hpp"
 #include "parsers/snapshot.hpp"
 #include "util/fault.hpp"
+#include "util/strings.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace hpcfail;
+
+/// Bounds for the numeric flags.
+constexpr std::uint64_t kMaxDays = 3650;
+constexpr std::uint64_t kMaxThreads = 1024;
 
 void usage(std::FILE* to) {
   std::fputs(
@@ -193,6 +199,18 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    // Numeric flags take a whole decimal number in [lo, hi]; anything else
+    // (empty, signed, trailing junk, out of range) is a usage error.
+    const auto number = [&](std::uint64_t lo, std::uint64_t hi) {
+      const char* flag = argv[i];
+      const char* text = value();
+      const auto n = util::parse_u64(text);
+      if (n && *n >= lo && *n <= hi) return *n;
+      std::fprintf(stderr, "hpcfail-store: %s expects a whole number in %llu..%llu, got '%s'\n",
+                   flag, static_cast<unsigned long long>(lo),
+                   static_cast<unsigned long long>(hi), text);
+      std::exit(2);
+    };
     if (arg == "--help" || arg == "-h") {
       usage(stdout);
       return 0;
@@ -205,11 +223,11 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--days") {
-      days = std::atoi(value());
+      days = static_cast<int>(number(1, kMaxDays));
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(value()));
+      seed = number(0, UINT64_MAX);
     } else if (arg == "--threads") {
-      threads = static_cast<std::size_t>(std::atoll(value()));
+      threads = static_cast<std::size_t>(number(0, kMaxThreads));
     } else if (arg == "--out") {
       out_path = value();
     } else if (arg == "--fault") {
