@@ -5,55 +5,16 @@
 
 namespace hpcfail::core {
 
-AnalysisEngine::AnalysisEngine(AnalysisConfig config) : config_(std::move(config)) {
-  // Built-in analyzers, in dependency order: aggregates/lead-times/external
-  // read only context state; clusters read the failures already copied into
-  // the result.  Extension stages registered later see everything below.
-  analyzers_.emplace_back(
-      "cause-aggregates", [](const AnalysisContext& ctx, AnalysisResult& out) {
-        out.breakdown = cause_breakdown(ctx.failures());
-        out.layers = layer_shares(ctx.failures());
-        out.module_usage = stack_module_usage(ctx.failures());
-      });
-  analyzers_.emplace_back(
-      "lead-times", [this](const AnalysisContext& ctx, AnalysisResult& out) {
-        const LeadTimeAnalyzer analyzer(ctx.store(), config_.lead_time);
-        out.lead_times = analyzer.lead_times(ctx.failures(), config_.pool);
-        out.lead_time_summary = LeadTimeAnalyzer::summarize_lead_times(out.lead_times);
-      });
-  analyzers_.emplace_back(
-      "external-correlation", [this](const AnalysisContext& ctx, AnalysisResult& out) {
-        const ExternalCorrelator correlator(ctx.store(), ctx.failures(),
-                                            config_.correlator);
-        out.nvf = correlator.correspondence(logmodel::EventType::NodeVoltageFault,
-                                            ctx.begin(), ctx.end());
-        out.nhf = correlator.correspondence(logmodel::EventType::NodeHeartbeatFault,
-                                            ctx.begin(), ctx.end());
-        out.nhf_breakdown = correlator.nhf_breakdown(ctx.begin(), ctx.end());
-      });
-  analyzers_.emplace_back(
-      "benign-faults", [](const AnalysisContext& ctx, AnalysisResult& out) {
-        const BenignFaultAnalyzer benign(ctx.store());
-        out.sedc = benign.sedc_population(ctx.begin(), ctx.end());
-        out.interconnect =
-            benign.interconnect_summary(ctx.begin(), ctx.end(), ctx.failures());
-      });
-  analyzers_.emplace_back(
-      "clusters", [this](const AnalysisContext& ctx, AnalysisResult& out) {
-        out.clusters = cluster_failures(ctx.failures(), config_.cluster_gap);
-        out.cluster_summary = summarize_clusters(out.clusters);
-      });
-}
+namespace {
 
-void AnalysisEngine::register_analyzer(std::string name, Analyzer fn) {
-  analyzers_.emplace_back(std::move(name), std::move(fn));
-}
+constexpr std::string_view kAnalyzerNames[] = {
+    "cause-aggregates", "lead-times", "external-correlation", "benign-faults", "clusters",
+};
 
-std::vector<std::string> AnalysisEngine::analyzer_names() const {
-  std::vector<std::string> out;
-  out.reserve(analyzers_.size());
-  for (const auto& [name, fn] : analyzers_) out.push_back(name);
-  return out;
+}  // namespace
+
+std::span<const std::string_view> AnalysisEngine::analyzer_names() noexcept {
+  return kAnalyzerNames;
 }
 
 AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
@@ -68,9 +29,39 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
   out.failures = ctx.failures();
   out.swos = ctx.detection().swos;
   out.intended_shutdowns_excluded = ctx.detection().intended_shutdowns_excluded;
-  for (const auto& [name, fn] : analyzers_) {
-    util::TraceSpan span("hpcfail.engine.analyzer_" + util::trace_name_segment(name));
-    fn(ctx, out);
+  // The stages run in dependency order: the first four read only context
+  // state; clusters read the failures already copied into the result.
+  {
+    util::TraceSpan span("hpcfail.engine.analyzer_cause_aggregates");
+    out.breakdown = cause_breakdown(ctx.failures());
+    out.layers = layer_shares(ctx.failures());
+    out.module_usage = stack_module_usage(ctx.failures());
+  }
+  {
+    util::TraceSpan span("hpcfail.engine.analyzer_lead_times");
+    const LeadTimeAnalyzer analyzer(ctx.store(), config_.lead_time);
+    out.lead_times = analyzer.lead_times(ctx.failures(), config_.pool);
+    out.lead_time_summary = LeadTimeAnalyzer::summarize_lead_times(out.lead_times);
+  }
+  {
+    util::TraceSpan span("hpcfail.engine.analyzer_external_correlation");
+    const ExternalCorrelator correlator(ctx.store(), ctx.failures(), config_.correlator);
+    out.nvf = correlator.correspondence(logmodel::EventType::NodeVoltageFault,
+                                        ctx.begin(), ctx.end());
+    out.nhf = correlator.correspondence(logmodel::EventType::NodeHeartbeatFault,
+                                        ctx.begin(), ctx.end());
+    out.nhf_breakdown = correlator.nhf_breakdown(ctx.begin(), ctx.end());
+  }
+  {
+    util::TraceSpan span("hpcfail.engine.analyzer_benign_faults");
+    const BenignFaultAnalyzer benign(ctx.store());
+    out.sedc = benign.sedc_population(ctx.begin(), ctx.end());
+    out.interconnect = benign.interconnect_summary(ctx.begin(), ctx.end(), ctx.failures());
+  }
+  {
+    util::TraceSpan span("hpcfail.engine.analyzer_clusters");
+    out.clusters = cluster_failures(ctx.failures(), config_.cluster_gap);
+    out.cluster_summary = summarize_clusters(out.clusters);
   }
   return out;
 }

@@ -6,17 +6,15 @@
 //   // r.failures, r.breakdown, r.lead_time_summary, r.clusters, r.nvf ...
 //
 // The engine builds one AnalysisContext (memoized detection + diagnosis +
-// joins, see analysis_context.hpp) and runs the registered analyzers
-// against it.  The built-in analyzers fill the AnalysisResult sections;
-// `register_analyzer` appends extension stages that run after them and may
-// read everything the built-ins produced.  Per-failure stages (root-cause
-// evidence collection, lead-time attribution) shard over
+// joins, see analysis_context.hpp) and runs five fixed analyzer stages
+// against it, each filling its AnalysisResult sections.  Per-failure
+// stages (root-cause evidence collection, lead-time attribution) shard over
 // `AnalysisConfig::pool` with deterministic index-ordered assembly — an
 // engine run with N threads is byte-identical to the serial run.
 #pragma once
 
-#include <functional>
-#include <string>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,18 +81,11 @@ struct AnalysisResult {
 
 class AnalysisEngine {
  public:
-  /// An analyzer reads the shared context (and anything earlier stages
-  /// wrote to the result) and fills its result section.
-  using Analyzer = std::function<void(const AnalysisContext&, AnalysisResult&)>;
+  explicit AnalysisEngine(AnalysisConfig config = {}) : config_(std::move(config)) {}
 
-  explicit AnalysisEngine(AnalysisConfig config = {});
-
-  /// Appends an extension stage after the built-in analyzers.  Stages run
-  /// in registration order; `name` labels the stage for introspection.
-  void register_analyzer(std::string name, Analyzer fn);
-
-  /// Registered stage names, built-ins first, in execution order.
-  [[nodiscard]] std::vector<std::string> analyzer_names() const;
+  /// The analyzer stages in execution order.  Each runs under the trace
+  /// span "hpcfail.engine.analyzer_" + trace_name_segment(name).
+  [[nodiscard]] static std::span<const std::string_view> analyzer_names() noexcept;
 
   [[nodiscard]] const AnalysisConfig& config() const noexcept { return config_; }
 
@@ -110,7 +101,6 @@ class AnalysisEngine {
 
  private:
   AnalysisConfig config_;
-  std::vector<std::pair<std::string, Analyzer>> analyzers_;
 };
 
 }  // namespace hpcfail::core

@@ -1,85 +1,13 @@
-// Minimal JSON support for the serve protocol (FORMATS.md "serve
-// protocol").  The daemon speaks line-delimited JSON on its production
-// boundary, so this lives in src/ rather than leaning on the test-only
-// helper in tests/support/json.hpp (which production code must not
-// include).  Scope is deliberately small: parse one request line into a
-// JsonValue tree, and append deterministically formatted values to an
-// output string.  Responses are assembled key-by-key by the handlers (the
-// envelope fixes the key order), so there is no generic serializer.
+// Alias of the JSON codec under its former serve-local name.  The codec
+// lives in util/json.hpp; this header remains only because the end-to-end
+// benchmark driver (perfbench/cpp) includes it.  Nothing in src/, tools/ or
+// tests/ includes it.
 #pragma once
 
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <string_view>
-#include <utility>
-#include <vector>
+#include "util/json.hpp"
 
 namespace hpcfail::serve {
 
-/// A parsed JSON value.  Objects preserve member order (requests are tiny;
-/// lookup is a linear scan) and duplicate keys keep the first occurrence,
-/// so a request cannot smuggle two different "verb" members past a check.
-class JsonValue {
- public:
-  enum class Kind : std::uint8_t { Null, Bool, Number, String, Array, Object };
-
-  using Member = std::pair<std::string, JsonValue>;
-
-  JsonValue() = default;
-
-  [[nodiscard]] Kind kind() const noexcept { return kind_; }
-  [[nodiscard]] bool is_null() const noexcept { return kind_ == Kind::Null; }
-  [[nodiscard]] bool is_bool() const noexcept { return kind_ == Kind::Bool; }
-  [[nodiscard]] bool is_number() const noexcept { return kind_ == Kind::Number; }
-  [[nodiscard]] bool is_string() const noexcept { return kind_ == Kind::String; }
-  [[nodiscard]] bool is_array() const noexcept { return kind_ == Kind::Array; }
-  [[nodiscard]] bool is_object() const noexcept { return kind_ == Kind::Object; }
-
-  [[nodiscard]] bool as_bool() const noexcept { return bool_; }
-  [[nodiscard]] double as_number() const noexcept { return number_; }
-  [[nodiscard]] const std::string& as_string() const noexcept { return string_; }
-  [[nodiscard]] const std::vector<JsonValue>& items() const noexcept { return items_; }
-  [[nodiscard]] const std::vector<Member>& members() const noexcept { return members_; }
-
-  /// First member named `key`, or nullptr.  Valid only on objects (an
-  /// empty member list answers nullptr for every other kind).
-  [[nodiscard]] const JsonValue* find(std::string_view key) const noexcept;
-
-  /// The member as a non-negative integer that survives a double round
-  /// trip (request ids); nullopt when absent, mistyped or out of range.
-  [[nodiscard]] std::optional<std::uint64_t> uint_member(std::string_view key) const;
-
-  /// Parses one complete JSON document.  Trailing garbage, unterminated
-  /// strings, bad escapes, and nesting deeper than 32 levels all yield
-  /// nullopt — the protocol layer turns that into a structured error.
-  [[nodiscard]] static std::optional<JsonValue> parse(std::string_view text);
-
-  [[nodiscard]] static JsonValue make_null() { return JsonValue{}; }
-  [[nodiscard]] static JsonValue make_bool(bool v);
-  [[nodiscard]] static JsonValue make_number(double v);
-  [[nodiscard]] static JsonValue make_string(std::string v);
-
- private:
-  Kind kind_ = Kind::Null;
-  bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<JsonValue> items_;
-  std::vector<Member> members_;
-
-  friend class JsonParser;
-};
-
-/// Appends `s` as a quoted JSON string, escaping `"` `\` and control
-/// characters (the latter as \u00XX).  Deterministic byte-for-byte.
-void append_json_string(std::string& out, std::string_view s);
-
-/// Appends a number: integral values in [-2^53, 2^53] as plain integers,
-/// everything else via "%.6g" — compact, deterministic, and precise enough
-/// for the ratio-valued fields the protocol carries.
-void append_json_number(std::string& out, double v);
-void append_json_number(std::string& out, std::uint64_t v);
-void append_json_number(std::string& out, std::int64_t v);
+using util::JsonValue;
 
 }  // namespace hpcfail::serve

@@ -58,7 +58,7 @@ RequestParse parse_request(std::string_view line) {
     out.message = "injected parse fault: request bytes torn in flight";
     return out;
   }
-  std::optional<JsonValue> doc = JsonValue::parse(line);
+  std::optional<util::JsonValue> doc = util::JsonValue::parse(line);
   if (!doc.has_value()) {
     out.error = ProtocolErrorKind::BadRequest;
     out.message = "request line is not valid JSON";
@@ -76,7 +76,7 @@ RequestParse parse_request(std::string_view line) {
     out.message = "request needs a non-negative integer \"id\"";
     return out;
   }
-  const JsonValue* verb = doc->find("verb");
+  const util::JsonValue* verb = doc->find("verb");
   if (verb == nullptr || !verb->is_string()) {
     out.error = ProtocolErrorKind::BadRequest;
     out.message = "request needs a string \"verb\"";
@@ -87,7 +87,7 @@ RequestParse parse_request(std::string_view line) {
     out.message = "unknown verb \"" + verb->as_string() + "\"";
     return out;
   }
-  const JsonValue* params = doc->find("params");
+  const util::JsonValue* params = doc->find("params");
   if (params != nullptr && !params->is_object() && !params->is_null()) {
     out.error = ProtocolErrorKind::BadRequest;
     out.message = "\"params\" must be an object when present";
@@ -106,11 +106,11 @@ std::string ok_response(std::uint64_t id, std::string_view verb, std::uint64_t e
   std::string out;
   out.reserve(64 + data_json.size());
   out += "{\"id\":";
-  append_json_number(out, id);
+  util::append_json_number(out, id);
   out += ",\"ok\":true,\"verb\":";
-  append_json_string(out, verb);
+  util::append_json_string(out, verb);
   out += ",\"epoch\":";
-  append_json_number(out, epoch);
+  util::append_json_number(out, epoch);
   out += ",\"data\":";
   out += data_json;
   out += "}";
@@ -122,11 +122,11 @@ std::string error_response(std::uint64_t id, ProtocolErrorKind kind,
   std::string out;
   out.reserve(64 + message.size());
   out += "{\"id\":";
-  append_json_number(out, id);
+  util::append_json_number(out, id);
   out += ",\"ok\":false,\"error\":{\"kind\":";
-  append_json_string(out, to_string(kind));
+  util::append_json_string(out, to_string(kind));
   out += ",\"message\":";
-  append_json_string(out, message);
+  util::append_json_string(out, message);
   out += "}}";
   return out;
 }

@@ -23,7 +23,7 @@
 #include <string>
 #include <string_view>
 
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
 namespace hpcfail::serve {
 
@@ -56,7 +56,7 @@ enum class ProtocolErrorKind : std::uint8_t {
 struct Request {
   std::uint64_t id = 0;
   std::string verb;
-  JsonValue params;  ///< the "params" member; Null when absent
+  util::JsonValue params;  ///< the "params" member; Null when absent
 };
 
 /// parse_request's result: exactly one of `request` / error fields is

@@ -287,30 +287,30 @@ std::string Server::data_status(const Epoch& epoch) const {
     if (node.down) ++down;
   }
   std::string out = "{\"analysis_recomputes\":";
-  append_json_number(out, analysis_recomputes());
+  util::append_json_number(out, analysis_recomputes());
   out += ",\"epoch\":";
-  append_json_number(out, epoch.id);
+  util::append_json_number(out, epoch.id);
   out += ",\"nodes\":";
-  append_json_number(out, static_cast<std::uint64_t>(epoch.store.nodes().size()));
+  util::append_json_number(out, static_cast<std::uint64_t>(epoch.store.nodes().size()));
   out += ",\"nodes_down\":";
-  append_json_number(out, static_cast<std::uint64_t>(down));
+  util::append_json_number(out, static_cast<std::uint64_t>(down));
   out += ",\"records\":";
-  append_json_number(out, static_cast<std::uint64_t>(epoch.store.size()));
+  util::append_json_number(out, static_cast<std::uint64_t>(epoch.store.size()));
   out += ",\"system\":";
-  append_json_string(out, label_);
+  util::append_json_string(out, label_);
   out += ",\"tail_records\":";
-  append_json_number(out, static_cast<std::uint64_t>(epoch.tail_records));
+  util::append_json_number(out, static_cast<std::uint64_t>(epoch.tail_records));
   out += ",\"window_begin\":";
-  append_json_string(out, util::format_iso(epoch.begin));
+  util::append_json_string(out, util::format_iso(epoch.begin));
   out += ",\"window_end\":";
-  append_json_string(out, util::format_iso(epoch.end));
+  util::append_json_string(out, util::format_iso(epoch.end));
   out += "}";
   return out;
 }
 
-std::string Server::data_node_health(const Epoch& epoch, const JsonValue& params,
+std::string Server::data_node_health(const Epoch& epoch, const util::JsonValue& params,
                                      std::string& bad_params) const {
-  const JsonValue* name = params.find("node");
+  const util::JsonValue* name = params.find("node");
   if (name == nullptr || !name->is_string()) {
     bad_params = "node_health needs params.node (string node name)";
     return {};
@@ -330,29 +330,29 @@ std::string Server::data_node_health(const Epoch& epoch, const JsonValue& params
   std::string out = "{\"down\":";
   out += (health != nullptr && health->down) ? "true" : "false";
   out += ",\"failures\":";
-  append_json_number(out, health != nullptr ? health->failures : 0);
+  util::append_json_number(out, health != nullptr ? health->failures : 0);
   out += ",\"last_alert\":";
   if (health != nullptr && health->has_alert) {
     out += "{\"kind\":";
-    append_json_string(out, core::to_string(health->last.kind));
+    util::append_json_string(out, core::to_string(health->last.kind));
     out += ",\"message\":";
-    append_json_string(out, health->last.message);
+    util::append_json_string(out, health->last.message);
     out += ",\"suspected\":";
-    append_json_string(out, logmodel::to_string(health->last.suspected));
+    util::append_json_string(out, logmodel::to_string(health->last.suspected));
     out += ",\"time\":";
-    append_json_string(out, util::format_iso(health->last.time));
+    util::append_json_string(out, util::format_iso(health->last.time));
     out += "}";
   } else {
     out += "null";
   }
   out += ",\"node\":";
-  append_json_string(out, name->as_string());
+  util::append_json_string(out, name->as_string());
   out += ",\"records_in_window\":";
-  append_json_number(out, static_cast<std::uint64_t>(in_window));
+  util::append_json_number(out, static_cast<std::uint64_t>(in_window));
   out += ",\"recoveries\":";
-  append_json_number(out, health != nullptr ? health->recoveries : 0);
+  util::append_json_number(out, health != nullptr ? health->recoveries : 0);
   out += ",\"warnings\":";
-  append_json_number(out, health != nullptr ? health->warnings : 0);
+  util::append_json_number(out, health != nullptr ? health->warnings : 0);
   out += "}";
   return out;
 }
@@ -360,17 +360,17 @@ std::string Server::data_node_health(const Epoch& epoch, const JsonValue& params
 std::string Server::data_lead_time(const core::AnalysisResult& analysis) const {
   const core::LeadTimeSummary& s = analysis.lead_time_summary;
   std::string out = "{\"enhanceable\":";
-  append_json_number(out, static_cast<std::uint64_t>(s.enhanceable));
+  util::append_json_number(out, static_cast<std::uint64_t>(s.enhanceable));
   out += ",\"enhanceable_fraction\":";
-  append_json_number(out, s.enhanceable_fraction());
+  util::append_json_number(out, s.enhanceable_fraction());
   out += ",\"enhancement_factor\":";
-  append_json_number(out, s.enhancement_factor());
+  util::append_json_number(out, s.enhancement_factor());
   out += ",\"failures\":";
-  append_json_number(out, static_cast<std::uint64_t>(s.failures));
+  util::append_json_number(out, static_cast<std::uint64_t>(s.failures));
   out += ",\"mean_external_minutes\":";
-  append_json_number(out, s.external_minutes.mean());
+  util::append_json_number(out, s.external_minutes.mean());
   out += ",\"mean_internal_minutes\":";
-  append_json_number(out, s.internal_minutes.mean());
+  util::append_json_number(out, s.internal_minutes.mean());
   out += "}";
   return out;
 }
@@ -389,29 +389,29 @@ std::string Server::data_causes(const core::AnalysisResult& analysis) const {
   std::string out = "{\"counts\":{";
   for (std::size_t i = 0; i < counts.size(); ++i) {
     if (i != 0) out += ",";
-    append_json_string(out, counts[i].first);
+    util::append_json_string(out, counts[i].first);
     out += ":";
-    append_json_number(out, static_cast<std::uint64_t>(counts[i].second));
+    util::append_json_number(out, static_cast<std::uint64_t>(counts[i].second));
   }
   out += "},\"layers\":{\"application\":";
-  append_json_number(out, analysis.layers.application);
+  util::append_json_number(out, analysis.layers.application);
   out += ",\"application_triggered\":";
-  append_json_number(out, analysis.layers.application_triggered);
+  util::append_json_number(out, analysis.layers.application_triggered);
   out += ",\"hardware\":";
-  append_json_number(out, analysis.layers.hardware);
+  util::append_json_number(out, analysis.layers.hardware);
   out += ",\"memory_exhaustion\":";
-  append_json_number(out, analysis.layers.memory_exhaustion);
+  util::append_json_number(out, analysis.layers.memory_exhaustion);
   out += ",\"software\":";
-  append_json_number(out, analysis.layers.software);
+  util::append_json_number(out, analysis.layers.software);
   out += ",\"unknown\":";
-  append_json_number(out, analysis.layers.unknown);
+  util::append_json_number(out, analysis.layers.unknown);
   out += "},\"total\":";
-  append_json_number(out, static_cast<std::uint64_t>(analysis.breakdown.total));
+  util::append_json_number(out, static_cast<std::uint64_t>(analysis.breakdown.total));
   out += "}";
   return out;
 }
 
-std::string Server::data_report(Epoch& epoch, const JsonValue& params,
+std::string Server::data_report(Epoch& epoch, const util::JsonValue& params,
                                 std::string& bad_params) {
   analysis_of(epoch);  // renders epoch.report on first use
   const std::string& report = epoch.report;
@@ -438,12 +438,12 @@ std::string Server::data_report(Epoch& epoch, const JsonValue& params,
   }
   if (!sections.empty()) sections.back().end = report.size();
 
-  const JsonValue* wanted = params.find("section");
+  const util::JsonValue* wanted = params.find("section");
   if (wanted == nullptr) {
     std::string out = "{\"sections\":[";
     for (std::size_t i = 0; i < sections.size(); ++i) {
       if (i != 0) out += ",";
-      append_json_string(out, sections[i].title);
+      util::append_json_string(out, sections[i].title);
     }
     out += "]}";
     return out;
@@ -455,9 +455,9 @@ std::string Server::data_report(Epoch& epoch, const JsonValue& params,
   for (const Section& section : sections) {
     if (section.title == wanted->as_string()) {
       std::string out = "{\"section\":";
-      append_json_string(out, section.title);
+      util::append_json_string(out, section.title);
       out += ",\"text\":";
-      append_json_string(out, std::string_view(report).substr(
+      util::append_json_string(out, std::string_view(report).substr(
                                   section.begin, section.end - section.begin));
       out += "}";
       return out;

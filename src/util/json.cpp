@@ -1,11 +1,10 @@
-#include "serve/json.hpp"
+#include "util/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
-namespace hpcfail::serve {
+namespace hpcfail::util {
 
 const JsonValue* JsonValue::find(std::string_view key) const noexcept {
   for (const auto& [name, value] : members_) {
@@ -22,27 +21,6 @@ std::optional<std::uint64_t> JsonValue::uint_member(std::string_view key) const 
   // beyond that could alias, so they are rejected rather than rounded.
   if (n < 0.0 || n > 9007199254740992.0 || n != std::floor(n)) return std::nullopt;
   return static_cast<std::uint64_t>(n);
-}
-
-JsonValue JsonValue::make_bool(bool v) {
-  JsonValue out;
-  out.kind_ = Kind::Bool;
-  out.bool_ = v;
-  return out;
-}
-
-JsonValue JsonValue::make_number(double v) {
-  JsonValue out;
-  out.kind_ = Kind::Number;
-  out.number_ = v;
-  return out;
-}
-
-JsonValue JsonValue::make_string(std::string v) {
-  JsonValue out;
-  out.kind_ = Kind::String;
-  out.string_ = std::move(v);
-  return out;
 }
 
 /// Recursive-descent parser over a string_view; depth-limited so a
@@ -71,7 +49,7 @@ class JsonParser {
     }
   }
 
-  [[nodiscard]] bool eat(char c) {
+  bool eat(char c) {
     if (pos_ < text_.size() && text_[pos_] == c) {
       ++pos_;
       return true;
@@ -86,7 +64,7 @@ class JsonParser {
   }
 
   bool parse_value(JsonValue& out, int depth) {
-    if (depth > kMaxDepth || pos_ >= text_.size()) return false;
+    if (depth >= kMaxDepth || pos_ >= text_.size()) return false;
     switch (text_[pos_]) {
       case '{': return parse_object(out, depth);
       case '[': return parse_array(out, depth);
@@ -209,19 +187,26 @@ class JsonParser {
     return false;  // unterminated
   }
 
+  /// Scans -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? before handing the
+  /// span to from_chars, which on its own would take `01`, `.5` and `2.`.
   bool parse_number(double& out) {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
+    eat('-');
+    if (!eat('0') && eat_digits() == 0) return false;  // a leading 0 stands alone
+    if (eat('.') && eat_digits() == 0) return false;
+    if (eat('e') || eat('E')) {
+      if (!eat('+')) eat('-');
+      if (eat_digits() == 0) return false;
     }
-    if (pos_ == start) return false;
     const auto [ptr, ec] =
         std::from_chars(text_.data() + start, text_.data() + pos_, out);
     return ec == std::errc{} && ptr == text_.data() + pos_;
+  }
+
+  std::size_t eat_digits() {
+    const std::size_t start = pos_;
+    while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') ++pos_;
+    return pos_ - start;
   }
 
   std::string_view text_;
@@ -278,4 +263,4 @@ void append_json_number(std::string& out, std::int64_t v) {
   out += std::to_string(v);
 }
 
-}  // namespace hpcfail::serve
+}  // namespace hpcfail::util

@@ -3,8 +3,9 @@
 #include <algorithm>
 #include <cctype>
 #include <chrono>
-#include <sstream>
 #include <thread>
+
+#include "util/json.hpp"
 
 namespace hpcfail::util {
 
@@ -63,21 +64,22 @@ std::string TraceRecorder::to_chrome_json() const {
                      if (a.tid != b.tid) return a.tid < b.tid;
                      return a.dur_us > b.dur_us;  // parents before children
                    });
-  std::ostringstream out;
-  out << "{\"traceEvents\":[";
+  std::string out = R"({"traceEvents":[)";
   for (std::size_t i = 0; i < sorted.size(); ++i) {
     const TraceEvent& e = sorted[i];
-    if (i) out << ',';
-    out << "{\"name\":\"";
-    for (const char c : e.name) {
-      if (c == '"' || c == '\\') out << '\\';
-      out << c;
-    }
-    out << "\",\"cat\":\"hpcfail\",\"ph\":\"X\",\"ts\":" << e.ts_us
-        << ",\"dur\":" << e.dur_us << ",\"pid\":1,\"tid\":" << e.tid << '}';
+    if (i) out += ',';
+    out += R"({"name":)";
+    append_json_string(out, e.name);
+    out += R"(,"cat":"hpcfail","ph":"X","ts":)";
+    append_json_number(out, e.ts_us);
+    out += R"(,"dur":)";
+    append_json_number(out, e.dur_us);
+    out += R"(,"pid":1,"tid":)";
+    append_json_number(out, std::uint64_t{e.tid});
+    out += '}';
   }
-  out << "]}";
-  return out.str();
+  out += "]}";
+  return out;
 }
 
 void install_trace(TraceRecorder* recorder) noexcept {

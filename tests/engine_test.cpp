@@ -252,27 +252,6 @@ TEST(EngineTest, ParsedCorpusOverloadCoversFullExtent) {
   }
 }
 
-/// Extension analyzers run after the built-ins and see their output.
-TEST(EngineTest, RegisteredAnalyzerRunsAfterBuiltins) {
-  const auto c = make_corpus(platform::SystemName::S1, 5, 3400);
-  core::AnalysisEngine engine;
-  std::size_t seen_failures = 0;
-  std::size_t seen_lead_times = 0;
-  engine.register_analyzer("probe", [&](const core::AnalysisContext& ctx,
-                                        core::AnalysisResult& out) {
-    seen_failures = ctx.failures().size();
-    seen_lead_times = out.lead_times.size();
-  });
-  const auto names = engine.analyzer_names();
-  ASSERT_FALSE(names.empty());
-  EXPECT_EQ(names.front(), "cause-aggregates");
-  EXPECT_EQ(names.back(), "probe");
-
-  const auto result = engine.analyze(c.parsed);
-  EXPECT_EQ(seen_failures, result.failures.size());
-  EXPECT_EQ(seen_lead_times, result.lead_times.size());
-}
-
 /// The context's joins agree with a direct scan of the failure list.
 TEST(EngineTest, ContextJoinsAreConsistent) {
   const auto c = make_corpus(platform::SystemName::S1, 7, 3500);

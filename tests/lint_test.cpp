@@ -14,7 +14,7 @@
 #include "baseline.hpp"
 #include "lint.hpp"
 #include "sarif.hpp"
-#include "support/json.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -25,8 +25,7 @@ using hpcfail::lint::render_baseline;
 using hpcfail::lint::Report;
 using hpcfail::lint::run_checks;
 using hpcfail::lint::to_sarif;
-using hpcfail::test::JsonValue;
-using hpcfail::test::parse_json;
+using hpcfail::util::JsonValue;
 
 std::filesystem::path fixture(const char* name) {
   return std::filesystem::path(HPCFAIL_LINT_FIXTURES) / name;
@@ -392,31 +391,32 @@ TEST(LintSarif, ReportRendersAsWellFormedSarif210) {
   const Report report = run_checks(fixture("rawsync_drift"), {"raw-sync"});
   ASSERT_FALSE(report.diagnostics.empty());
 
-  const JsonValue doc = parse_json(to_sarif(report));
-  ASSERT_EQ(doc.kind, JsonValue::Kind::Object);
-  ASSERT_NE(doc.find("version"), nullptr);
-  EXPECT_EQ(doc.find("version")->text, "2.1.0");
-  ASSERT_NE(doc.find("$schema"), nullptr);
+  const auto doc = JsonValue::parse(to_sarif(report));
+  ASSERT_TRUE(doc);
+  ASSERT_TRUE(doc->is_object());
+  ASSERT_NE(doc->find("version"), nullptr);
+  EXPECT_EQ(doc->find("version")->as_string(), "2.1.0");
+  ASSERT_NE(doc->find("$schema"), nullptr);
 
-  const JsonValue* runs = doc.find("runs");
+  const JsonValue* runs = doc->find("runs");
   ASSERT_NE(runs, nullptr);
-  ASSERT_EQ(runs->array.size(), 1u);
-  const JsonValue& run = runs->array[0];
+  ASSERT_EQ(runs->items().size(), 1u);
+  const JsonValue& run = runs->items()[0];
 
   const JsonValue* tool = run.find("tool");
   ASSERT_NE(tool, nullptr);
   const JsonValue* driver = tool->find("driver");
   ASSERT_NE(driver, nullptr);
-  EXPECT_EQ(driver->find("name")->text, "hpcfail-lint");
+  EXPECT_EQ(driver->find("name")->as_string(), "hpcfail-lint");
 
   // One rule per registered check, ids matching the registry.
   const JsonValue* rules = driver->find("rules");
   ASSERT_NE(rules, nullptr);
   std::set<std::string> rule_ids;
-  for (const auto& rule : rules->array) {
+  for (const auto& rule : rules->items()) {
     ASSERT_NE(rule.find("id"), nullptr);
     ASSERT_NE(rule.find("shortDescription"), nullptr);
-    rule_ids.insert(rule.find("id")->text);
+    rule_ids.insert(rule.find("id")->as_string());
   }
   for (const auto& name : hpcfail::lint::all_check_names()) {
     EXPECT_TRUE(rule_ids.count(name)) << name;
@@ -425,18 +425,18 @@ TEST(LintSarif, ReportRendersAsWellFormedSarif210) {
   // One result per diagnostic, in order, with matching location/level.
   const JsonValue* results = run.find("results");
   ASSERT_NE(results, nullptr);
-  ASSERT_EQ(results->array.size(), report.diagnostics.size());
+  ASSERT_EQ(results->items().size(), report.diagnostics.size());
   for (std::size_t i = 0; i < report.diagnostics.size(); ++i) {
     const auto& d = report.diagnostics[i];
-    const JsonValue& r = results->array[i];
-    EXPECT_EQ(r.find("ruleId")->text, d.check);
-    EXPECT_EQ(r.find("level")->text, "error");
-    EXPECT_EQ(r.find("message")->find("text")->text, d.message);
-    const JsonValue& loc = r.find("locations")->array.at(0);
+    const JsonValue& r = results->items()[i];
+    EXPECT_EQ(r.find("ruleId")->as_string(), d.check);
+    EXPECT_EQ(r.find("level")->as_string(), "error");
+    EXPECT_EQ(r.find("message")->find("text")->as_string(), d.message);
+    const JsonValue& loc = r.find("locations")->items().at(0);
     const JsonValue* phys = loc.find("physicalLocation");
     ASSERT_NE(phys, nullptr);
-    EXPECT_EQ(phys->find("artifactLocation")->find("uri")->text, d.file);
-    EXPECT_EQ(phys->find("region")->find("startLine")->number,
+    EXPECT_EQ(phys->find("artifactLocation")->find("uri")->as_string(), d.file);
+    EXPECT_EQ(phys->find("region")->find("startLine")->as_number(),
               static_cast<double>(d.line));
   }
 }

@@ -1,6 +1,6 @@
 // Observability contract tests: the metrics registry's semantics under
-// concurrency, the RAII trace spans' nesting guarantees, and — via a small
-// recursive-descent JSON parser — the exact schemas of both exports
+// concurrency, the RAII trace spans' nesting guarantees, and — via the
+// strict util::JsonValue reader — the exact schemas of both exports
 // ("hpcfail.metrics.v1" and the chrome://tracing Trace Event Format).
 // These pin what DESIGN.md §6 promises; the determinism side (instrumented
 // runs produce byte-identical analysis results) lives in engine_test.cpp
@@ -24,20 +24,18 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
-#include "support/json.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace {
 
-using hpcfail::test::JsonValue;
-using hpcfail::test::parse_json;
-
 using hpcfail::util::Counter;
 using hpcfail::util::Gauge;
 using hpcfail::util::Histogram;
 using hpcfail::util::install_metrics;
+using hpcfail::util::JsonValue;
 using hpcfail::util::install_trace;
 using hpcfail::util::MetricsRegistry;
 using hpcfail::util::TraceEvent;
@@ -235,55 +233,62 @@ TEST(MetricsJson, ExportMatchesSchemaWithSortedKeys) {
   const std::string json = reg.to_json();
   EXPECT_EQ(json, reg.to_json()) << "export must be deterministic";
 
-  const JsonValue root = parse_json(json);
-  ASSERT_EQ(root.kind, JsonValue::Kind::Object);
-  ASSERT_EQ(root.object.size(), 4u);
-  EXPECT_EQ(root.object[0].first, "schema");
-  EXPECT_EQ(root.object[1].first, "counters");
-  EXPECT_EQ(root.object[2].first, "gauges");
-  EXPECT_EQ(root.object[3].first, "histograms");
-  EXPECT_EQ(root.find("schema")->text, "hpcfail.metrics.v1");
+  const auto root = JsonValue::parse(json);
+  ASSERT_TRUE(root);
+  ASSERT_TRUE(root->is_object());
+  const auto& sections = root->members();
+  ASSERT_EQ(sections.size(), 4u);
+  EXPECT_EQ(sections[0].first, "schema");
+  EXPECT_EQ(sections[1].first, "counters");
+  EXPECT_EQ(sections[2].first, "gauges");
+  EXPECT_EQ(sections[3].first, "histograms");
+  EXPECT_EQ(root->find("schema")->as_string(), "hpcfail.metrics.v1");
 
-  const JsonValue& counters = *root.find("counters");
-  ASSERT_EQ(counters.object.size(), 2u);
-  EXPECT_EQ(counters.object[0].first, "hpcfail.test.alpha");  // keys sorted
-  EXPECT_EQ(counters.object[0].second.number, 2.0);
-  EXPECT_EQ(counters.object[1].first, "hpcfail.test.beta");
-  EXPECT_EQ(counters.object[1].second.number, 7.0);
+  const auto& counters = root->find("counters")->members();
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].first, "hpcfail.test.alpha");  // keys sorted
+  EXPECT_EQ(counters[0].second.as_number(), 2.0);
+  EXPECT_EQ(counters[1].first, "hpcfail.test.beta");
+  EXPECT_EQ(counters[1].second.as_number(), 7.0);
 
-  EXPECT_EQ(root.find("gauges")->find("hpcfail.test.depth")->number, -4.0);
+  EXPECT_EQ(root->find("gauges")->find("hpcfail.test.depth")->as_number(), -4.0);
 
-  const JsonValue* hist = root.find("histograms")->find("hpcfail.test.latency_us");
+  const JsonValue* hist = root->find("histograms")->find("hpcfail.test.latency_us");
   ASSERT_NE(hist, nullptr);
   ASSERT_NE(hist->find("bounds"), nullptr);
   ASSERT_NE(hist->find("counts"), nullptr);
-  ASSERT_EQ(hist->find("bounds")->array.size(), 2u);
-  ASSERT_EQ(hist->find("counts")->array.size(), 3u) << "bounds + the +inf bucket";
-  EXPECT_EQ(hist->find("bounds")->array[0].number, 1.0);
-  EXPECT_EQ(hist->find("bounds")->array[1].number, 10.0);
-  EXPECT_EQ(hist->find("counts")->array[0].number, 0.0);
-  EXPECT_EQ(hist->find("counts")->array[1].number, 1.0);
-  EXPECT_EQ(hist->find("counts")->array[2].number, 1.0);
-  EXPECT_EQ(hist->find("count")->number, 2.0);
-  EXPECT_DOUBLE_EQ(hist->find("sum")->number, 103.5);
+  const auto& bounds = hist->find("bounds")->items();
+  const auto& counts = hist->find("counts")->items();
+  ASSERT_EQ(bounds.size(), 2u);
+  ASSERT_EQ(counts.size(), 3u) << "bounds + the +inf bucket";
+  EXPECT_EQ(bounds[0].as_number(), 1.0);
+  EXPECT_EQ(bounds[1].as_number(), 10.0);
+  EXPECT_EQ(counts[0].as_number(), 0.0);
+  EXPECT_EQ(counts[1].as_number(), 1.0);
+  EXPECT_EQ(counts[2].as_number(), 1.0);
+  EXPECT_EQ(hist->find("count")->as_number(), 2.0);
+  EXPECT_DOUBLE_EQ(hist->find("sum")->as_number(), 103.5);
 }
 
 TEST(MetricsJson, NamesWithQuotesAndBackslashesAreEscaped) {
   MetricsRegistry reg;
   reg.counter("odd\"name\\x").increment();  // hpcfail-lint: allow(metric-naming)
-  const JsonValue root = parse_json(reg.to_json());
-  const JsonValue& counters = *root.find("counters");
-  ASSERT_EQ(counters.object.size(), 1u);
-  EXPECT_EQ(counters.object[0].first, "odd\"name\\x");
+  reg.counter("ctl\r\n\x01").increment();   // hpcfail-lint: allow(metric-naming)
+  const auto root = JsonValue::parse(reg.to_json());
+  ASSERT_TRUE(root);
+  const auto& counters = root->find("counters")->members();
+  ASSERT_EQ(counters.size(), 2u);
+  EXPECT_EQ(counters[0].first, "ctl\r\n\x01");
+  EXPECT_EQ(counters[1].first, "odd\"name\\x");
 }
 
 /// Validates one parsed chrome trace document: event fields, sort order and
 /// the per-thread containment property, returning the set of span names.
 std::set<std::string> validate_chrome_trace(const JsonValue& root) {
-  EXPECT_EQ(root.kind, JsonValue::Kind::Object);
+  EXPECT_TRUE(root.is_object());
   const JsonValue* events = root.find("traceEvents");
   EXPECT_NE(events, nullptr);
-  EXPECT_EQ(events->kind, JsonValue::Kind::Array);
+  EXPECT_TRUE(events->is_array());
 
   std::set<std::string> names;
   struct Interval {
@@ -292,16 +297,16 @@ std::set<std::string> validate_chrome_trace(const JsonValue& root) {
   std::map<std::int64_t, std::vector<Interval>> stacks;  // tid -> open spans
   std::int64_t prev_ts = -1;
   std::int64_t prev_tid = -1;
-  for (const JsonValue& e : events->array) {
-    EXPECT_EQ(e.kind, JsonValue::Kind::Object);
+  for (const JsonValue& e : events->items()) {
+    EXPECT_TRUE(e.is_object());
     EXPECT_NE(e.find("name"), nullptr);
-    names.insert(e.find("name")->text);
-    EXPECT_EQ(e.find("cat")->text, "hpcfail");
-    EXPECT_EQ(e.find("ph")->text, "X");
-    EXPECT_EQ(e.find("pid")->number, 1.0);
-    const auto ts = static_cast<std::int64_t>(e.find("ts")->number);
-    const auto dur = static_cast<std::int64_t>(e.find("dur")->number);
-    const auto tid = static_cast<std::int64_t>(e.find("tid")->number);
+    names.insert(e.find("name")->as_string());
+    EXPECT_EQ(e.find("cat")->as_string(), "hpcfail");
+    EXPECT_EQ(e.find("ph")->as_string(), "X");
+    EXPECT_EQ(e.find("pid")->as_number(), 1.0);
+    const auto ts = static_cast<std::int64_t>(e.find("ts")->as_number());
+    const auto dur = static_cast<std::int64_t>(e.find("dur")->as_number());
+    const auto tid = static_cast<std::int64_t>(e.find("tid")->as_number());
     EXPECT_GE(ts, 0);
     EXPECT_GE(dur, 0);
     EXPECT_GE(tid, 0);
@@ -316,7 +321,7 @@ std::set<std::string> validate_chrome_trace(const JsonValue& root) {
     while (!stack.empty() && stack.back().end <= ts) stack.pop_back();
     if (!stack.empty()) {
       EXPECT_LE(ts + dur, stack.back().end)
-          << "span " << e.find("name")->text << " partially overlaps its parent";
+          << "span " << e.find("name")->as_string() << " partially overlaps its parent";
     }
     stack.push_back(Interval{ts, ts + dur});
   }
@@ -326,14 +331,17 @@ std::set<std::string> validate_chrome_trace(const JsonValue& root) {
 TEST(TraceJson, ExportMatchesChromeTraceSchemaAndEscapes) {
   TraceRecorder rec;
   rec.record("hpcfail.test.with\"quote\\slash", 5, 2);
+  rec.record("hpcfail.test.ctl\r\n\x01", 6, 1);
   rec.record("hpcfail.test.parent", 0, 10);
   rec.record("hpcfail.test.child", 2, 3);
-  const JsonValue root = parse_json(rec.to_chrome_json());
-  const std::set<std::string> names = validate_chrome_trace(root);
+  const auto root = JsonValue::parse(rec.to_chrome_json());
+  ASSERT_TRUE(root);
+  const std::set<std::string> names = validate_chrome_trace(*root);
   EXPECT_TRUE(names.count("hpcfail.test.with\"quote\\slash"));
+  EXPECT_TRUE(names.count("hpcfail.test.ctl\r\n\x01"));
   EXPECT_TRUE(names.count("hpcfail.test.parent"));
   // Sorting puts the parent (ts 0) before both children.
-  EXPECT_EQ(root.find("traceEvents")->array[0].find("name")->text,
+  EXPECT_EQ(root->find("traceEvents")->items()[0].find("name")->as_string(),
             "hpcfail.test.parent");
 }
 
@@ -360,14 +368,16 @@ TEST(PipelineObservability, TraceCoversSimulatorEngineAndContextPhases) {
     result = engine.analyze(parsed);
   }
 
-  const std::set<std::string> names = validate_chrome_trace(parse_json(rec.to_chrome_json()));
+  const auto doc = JsonValue::parse(rec.to_chrome_json());
+  ASSERT_TRUE(doc);
+  const std::set<std::string> names = validate_chrome_trace(*doc);
   EXPECT_TRUE(names.count("hpcfail.sim.run"));
   EXPECT_TRUE(names.count("hpcfail.engine.run"));
   EXPECT_TRUE(names.count("hpcfail.context.type_histogram"));
   EXPECT_TRUE(names.count("hpcfail.context.detect"));
   EXPECT_TRUE(names.count("hpcfail.context.diagnose"));
   EXPECT_TRUE(names.count("hpcfail.context.joins"));
-  for (const std::string& analyzer : engine.analyzer_names()) {
+  for (const std::string_view analyzer : engine.analyzer_names()) {
     const std::string span =
         "hpcfail.engine.analyzer_" + hpcfail::util::trace_name_segment(analyzer);
     EXPECT_TRUE(names.count(span)) << "missing analyzer span " << span;

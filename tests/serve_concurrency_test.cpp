@@ -20,9 +20,9 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
-#include "serve/json.hpp"
 #include "serve/server.hpp"
 #include "util/fault.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -145,17 +145,17 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
   std::size_t checked_status = 0;
   for (auto& client : clients) {
     for (const std::string& response : client.get()) {
-      const auto doc = serve::JsonValue::parse(response);
+      const auto doc = util::JsonValue::parse(response);
       ASSERT_TRUE(doc.has_value()) << response;
       const auto epoch = doc->uint_member("epoch");
       ASSERT_TRUE(epoch.has_value()) << response;
       ASSERT_LE(*epoch, kAdvances) << response;
-      const serve::JsonValue* ok = doc->find("ok");
+      const util::JsonValue* ok = doc->find("ok");
       ASSERT_NE(ok, nullptr);
       ASSERT_TRUE(ok->is_bool() && ok->as_bool()) << response;
-      const serve::JsonValue* data = doc->find("data");
+      const util::JsonValue* data = doc->find("data");
       ASSERT_NE(data, nullptr) << response;
-      if (const serve::JsonValue* records = data->find("records")) {
+      if (const util::JsonValue* records = data->find("records")) {
         EXPECT_EQ(static_cast<std::uint64_t>(records->as_number()),
                   booted.base_records + *epoch)
             << "status torn across epochs: " << response;

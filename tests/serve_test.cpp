@@ -21,11 +21,11 @@
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
-#include "serve/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/session.hpp"
 #include "serve/tail.hpp"
+#include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -133,11 +133,11 @@ std::vector<std::string> transcript_requests(serve::Server& server,
   };
   // Slice the first report section by the name the daemon just listed.
   const std::string listing = server.handle_line(requests.back());
-  const auto doc = serve::JsonValue::parse(listing);
+  const auto doc = util::JsonValue::parse(listing);
   std::string section;
   if (doc.has_value()) {
-    if (const serve::JsonValue* data = doc->find("data")) {
-      if (const serve::JsonValue* sections = data->find("sections")) {
+    if (const util::JsonValue* data = doc->find("data")) {
+      if (const util::JsonValue* sections = data->find("sections")) {
         if (sections->is_array() && !sections->items().empty() &&
             sections->items().front().is_string()) {
           section = sections->items().front().as_string();
@@ -146,7 +146,7 @@ std::vector<std::string> transcript_requests(serve::Server& server,
     }
   }
   std::string escaped;
-  serve::append_json_string(escaped, section);
+  util::append_json_string(escaped, section);
   requests.push_back(R"({"id":7,"verb":"report","params":{"section":)" + escaped +
                      "}}");
   requests.push_back(R"({"id":8,"verb":"metrics"})");
@@ -230,6 +230,12 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerStructuredErrors) {
       {R"({"id":1,"verb":"report","params":{"section":"No Such Section"}})",
        "bad_params"},
       {R"({"id":1,"verb":"ping"}trailing)", "bad_request"},   // trailing garbage
+      // RFC 8259 number grammar: each of these once parsed as an id.
+      {R"({"id":01,"verb":"ping"})", "bad_request"},          // leading zero
+      {R"({"id":.5e1,"verb":"ping"})", "bad_request"},        // no integer part
+      {R"({"id":2.,"verb":"ping"})", "bad_request"},          // empty fraction
+      {R"({"id":-,"verb":"ping"})", "bad_request"},           // lone minus
+      {R"({"id":1e,"verb":"ping"})", "bad_request"},          // empty exponent
   };
   for (const auto& c : cases) {
     const std::string response = server.handle_line(c.request);
@@ -237,7 +243,7 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerStructuredErrors) {
         << "request: " << c.request << " response: " << response;
     EXPECT_NE(response.find("\"kind\":\"" + c.kind + "\""), std::string::npos)
         << "request: " << c.request << " response: " << response;
-    const auto doc = serve::JsonValue::parse(response);
+    const auto doc = util::JsonValue::parse(response);
     ASSERT_TRUE(doc.has_value()) << "error response must itself be valid JSON";
     ASSERT_NE(doc->find("error"), nullptr);
     EXPECT_NE(doc->find("error")->find("message"), nullptr);

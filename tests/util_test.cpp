@@ -1,16 +1,22 @@
-// Unit and property tests for src/util: PRNG, time, strings, tables, pool.
+// Unit and property tests for src/util: PRNG, time, strings, tables, pool,
+// and the JSON codec.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/chunked_reader.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -675,6 +681,137 @@ TEST(ThreadPoolTest, RangesPartitionExactly) {
     total.fetch_add(e - b);
   });
   EXPECT_EQ(total.load(), 777u);
+}
+
+// --------------------------------------------------------------- json ----
+
+std::string json_string(std::string_view s) {
+  std::string out;
+  append_json_string(out, s);
+  return out;
+}
+
+std::string json_number(double v) {
+  std::string out;
+  append_json_number(out, v);
+  return out;
+}
+
+TEST(JsonTest, EveryByteRoundTripsThroughTheEscaper) {
+  std::string all;
+  for (int b = 0; b < 256; ++b) {
+    const std::string one(1, static_cast<char>(b));
+    const auto doc = JsonValue::parse(json_string(one));
+    ASSERT_TRUE(doc) << "byte " << b;
+    ASSERT_TRUE(doc->is_string());
+    EXPECT_EQ(doc->as_string(), one) << "byte " << b;
+    all += one;
+  }
+  const auto doc = JsonValue::parse(json_string(all));
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(doc->as_string(), all);
+}
+
+TEST(JsonTest, NumbersPrintIntegralUpTo2Pow53AndSixDigitsOtherwise) {
+  EXPECT_EQ(json_number(0.0), "0");
+  EXPECT_EQ(json_number(-0.0), "0");
+  EXPECT_EQ(json_number(-4.0), "-4");
+  EXPECT_EQ(json_number(9007199254740992.0), "9007199254740992");
+  EXPECT_EQ(json_number(-9007199254740992.0), "-9007199254740992");
+  EXPECT_EQ(json_number(18014398509481984.0), "1.80144e+16");  // 2^54
+  EXPECT_EQ(json_number(103.5), "103.5");
+  EXPECT_EQ(json_number(1.0 / 3.0), "0.333333");
+  EXPECT_EQ(json_number(1e-7), "1e-07");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "null");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+
+  std::string out;
+  append_json_number(out, std::numeric_limits<std::uint64_t>::max());
+  out += ',';
+  append_json_number(out, std::numeric_limits<std::int64_t>::min());
+  EXPECT_EQ(out, "18446744073709551615,-9223372036854775808");
+}
+
+TEST(JsonTest, NumbersFollowTheRfc8259Grammar) {
+  for (const char* good : {"0", "-0", "7", "10", "-12", "1.5", "0.25", "1e3", "1E+3",
+                           "2.5e-3", "-0.0e0"}) {
+    const auto doc = JsonValue::parse(good);
+    ASSERT_TRUE(doc) << good;
+    EXPECT_TRUE(doc->is_number()) << good;
+  }
+  const auto exact = JsonValue::parse("2.5e-3");
+  ASSERT_TRUE(exact);
+  EXPECT_EQ(exact->as_number(), 2.5e-3);
+  for (const char* bad : {"01", "-01", ".5", ".5e1", "2.", "1.e3", "-", "+1", "1e", "1e+",
+                          "--1", "1-2", "0x10", "Infinity", "NaN", "1e999"}) {
+    EXPECT_FALSE(JsonValue::parse(bad)) << bad;
+  }
+}
+
+TEST(JsonTest, NestingDepthIsCappedAt32) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonValue::parse(nested(32)));
+  EXPECT_FALSE(JsonValue::parse(nested(33)));
+}
+
+TEST(JsonTest, DuplicateKeysKeepTheFirstValue) {
+  const auto doc = JsonValue::parse(R"({"verb":"ping","id":1,"verb":"shutdown"})");
+  ASSERT_TRUE(doc);
+  ASSERT_EQ(doc->members().size(), 2u);
+  EXPECT_EQ(doc->find("verb")->as_string(), "ping");
+}
+
+TEST(JsonTest, StringsRejectRawControlBytesAndBadEscapes) {
+  const auto doc = JsonValue::parse(R"("\"\\\/\b\f\n\r\t\u0041\u00e9")");
+  ASSERT_TRUE(doc);
+  EXPECT_EQ(doc->as_string(), "\"\\/\b\f\n\r\tA\xC3\xA9");
+  for (const char* bad : {"\"a\nb\"", "\"\\x\"", "\"\\u12\"", "\"\\u12G4\"", "\"open"}) {
+    EXPECT_FALSE(JsonValue::parse(bad)) << bad;
+  }
+}
+
+/// Seeded byte flips, truncations and insertions over real protocol lines
+/// (the first request/response pairs of the S1 serve golden): every mutant
+/// parses to a value or to nullopt, never a throw or a crash.
+TEST(JsonTest, MutatedProtocolLinesParseOrFailCleanly) {
+  std::ifstream in(std::string(HPCFAIL_REPO_ROOT) + "/testdata/serve_golden/S1.txt");
+  ASSERT_TRUE(in);
+  std::vector<std::string> lines;
+  for (std::string line; lines.size() < 10 && std::getline(in, line);) lines.push_back(line);
+  ASSERT_EQ(lines.size(), 10u);
+
+  Rng rng(0x6a736f6e);
+  std::size_t parsed = 0;
+  std::size_t refused = 0;
+  for (const std::string& line : lines) {
+    ASSERT_TRUE(JsonValue::parse(line)) << line;
+    for (int i = 0; i < 1000; ++i) {
+      std::string mutant = line;
+      for (std::int64_t edits = rng.uniform_int(1, 3); edits > 0; --edits) {
+        const auto at = static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(mutant.size())));
+        switch (rng.uniform_int(0, 2)) {
+          case 0:  // flip one bit
+            if (at < mutant.size()) mutant[at] ^= static_cast<char>(1 << rng.uniform_int(0, 7));
+            break;
+          case 1:  // truncate
+            mutant.resize(at);
+            break;
+          default:  // insert an arbitrary byte
+            mutant.insert(at, 1, static_cast<char>(rng.uniform_int(0, 255)));
+        }
+      }
+      std::optional<JsonValue> doc;
+      EXPECT_NO_THROW(doc = JsonValue::parse(mutant)) << mutant;
+      ++(doc ? parsed : refused);
+    }
+  }
+  // The battery exercises both outcomes, not only the refusal path.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(refused, 0u);
 }
 
 }  // namespace
