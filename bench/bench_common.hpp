@@ -73,9 +73,8 @@ struct Pipeline {
 
 /// Runs the canonical path on an already-simulated system: render raw
 /// text, parse it back, then one AnalysisEngine run over the scenario
-/// window.  Benches that need non-default analysis knobs pass a config.
-inline Pipeline run_pipeline(faultsim::SimulationResult sim,
-                             const core::AnalysisConfig& config = {}) {
+/// window.
+inline Pipeline run_pipeline(faultsim::SimulationResult sim) {
   detail::observability_bootstrap();
   Pipeline p{std::move(sim), {}, {}, {}, {}};
   {
@@ -88,8 +87,8 @@ inline Pipeline run_pipeline(faultsim::SimulationResult sim,
   }
   {
     util::TraceSpan span("hpcfail.bench.analyze");
-    p.analysis = core::AnalysisEngine(config).analyze(
-        p.parsed.store, &p.parsed.jobs, p.sim.config.begin, p.sim.config.end());
+    p.analysis = core::AnalysisEngine().analyze(p.parsed.store, &p.parsed.jobs,
+                                                p.sim.config.begin, p.sim.config.end());
   }
   p.failures = p.analysis.failures;
   return p;
@@ -103,8 +102,7 @@ struct SnapshotSource {
   std::string path;
 };
 
-inline Pipeline run_pipeline(const SnapshotSource& source,
-                             const core::AnalysisConfig& config = {}) {
+inline Pipeline run_pipeline(const SnapshotSource& source) {
   detail::observability_bootstrap();
   Pipeline p{{}, {}, {}, {}, {}};
   {
@@ -121,22 +119,20 @@ inline Pipeline run_pipeline(const SnapshotSource& source,
     util::TraceSpan span("hpcfail.bench.analyze");
     const auto begin = p.parsed.begin;
     const auto end = begin + util::Duration::days(p.parsed.days);
-    p.analysis =
-        core::AnalysisEngine(config).analyze(p.parsed.store, &p.parsed.jobs, begin, end);
+    p.analysis = core::AnalysisEngine().analyze(p.parsed.store, &p.parsed.jobs, begin, end);
   }
   p.failures = p.analysis.failures;
   return p;
 }
 
 /// Runs the canonical path on a scenario.
-inline Pipeline run_pipeline(faultsim::ScenarioConfig scenario,
-                             const core::AnalysisConfig& config = {}) {
+inline Pipeline run_pipeline(faultsim::ScenarioConfig scenario) {
   detail::observability_bootstrap();
   auto sim = [&scenario] {
     util::TraceSpan span("hpcfail.bench.simulate");
     return faultsim::Simulator(std::move(scenario)).run();
   }();
-  return run_pipeline(std::move(sim), config);
+  return run_pipeline(std::move(sim));
 }
 
 inline Pipeline run_system(platform::SystemName system, int days, std::uint64_t seed) {

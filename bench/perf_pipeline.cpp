@@ -268,25 +268,20 @@ void BM_RenderCorpus(benchmark::State& state) {
 }
 BENCHMARK(BM_RenderCorpus);
 
-/// One simulated week of S2 — the thread-scaling corpus for the analysis
-/// engine (S2 is the mid-size system; ~20x the nodes of S1's week).
+/// One simulated week of S2 — the corpus for the analysis engine (S2 is
+/// the mid-size system; ~20x the nodes of S1's week).
 const faultsim::SimulationResult& shared_sim_s2() {
   static const faultsim::SimulationResult sim =
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 9090)).run();
   return sim;
 }
 
-/// Thread-scaling of the unified AnalysisEngine on the S2-sized corpus:
-/// the per-failure stages (root-cause evidence collection, lead-time
-/// attribution) shard over the pool, everything else is the shared
-/// context build.  Acceptance tracks Arg(4) vs Arg(1) (>=1.5x in CI).
+/// One serial AnalysisEngine run (context build, detection, diagnosis and
+/// the five analyzer stages) over the S2-sized corpus.
 void BM_AnalyzeFailures(benchmark::State& state) {
   static const logmodel::LogStore store = shared_sim_s2().make_store();
   static const jobs::JobTable table = jobs::JobTable::from_jobs(shared_sim_s2().jobs);
-  util::ThreadPool pool(static_cast<std::size_t>(state.range(0)));
-  core::AnalysisConfig config;
-  config.pool = &pool;
-  const core::AnalysisEngine engine(config);
+  const core::AnalysisEngine engine;
   const auto begin = shared_sim_s2().config.begin;
   const auto end = shared_sim_s2().config.end();
   std::size_t failures = 0;
@@ -296,8 +291,7 @@ void BM_AnalyzeFailures(benchmark::State& state) {
   benchmark::DoNotOptimize(failures);
   state.counters["failures"] = static_cast<double>(failures);
 }
-BENCHMARK(BM_AnalyzeFailures)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_AnalyzeFailures)->Unit(benchmark::kMillisecond);
 
 // --- canonical pipeline baseline (--json) --------------------------------
 //

@@ -107,9 +107,7 @@ int main(int argc, char** argv) {
   const std::string node =
       std::string(parsed.topology.node_name(parsed.store.nodes().front()));
 
-  serve::ServerConfig config;
-  config.pool = &pool;
-  serve::Server server(std::move(parsed), config);
+  serve::Server server(std::move(parsed));
 
   // The analysis-backed verbs share one engine run per epoch; pay for it
   // once here so the hammer rounds measure the cached steady state.

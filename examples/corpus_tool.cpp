@@ -50,15 +50,6 @@ int usage() {
   return 2;
 }
 
-std::optional<platform::SystemName> parse_system(const std::string& s) {
-  for (const auto name : {platform::SystemName::S1, platform::SystemName::S2,
-                          platform::SystemName::S3, platform::SystemName::S4,
-                          platform::SystemName::S5}) {
-    if (platform::to_string(name) == s) return name;
-  }
-  return std::nullopt;
-}
-
 int cmd_generate(int argc, char** argv) {
   platform::SystemName system = platform::SystemName::S1;
   int days = 7;
@@ -69,7 +60,7 @@ int cmd_generate(int argc, char** argv) {
     const std::string flag = argv[i];
     const std::string value = argv[i + 1];
     if (flag == "--system") {
-      const auto parsed = parse_system(value);
+      const auto parsed = platform::system_from_string(value);
       if (!parsed) {
         std::cerr << "unknown system " << value << "\n";
         return 2;
@@ -232,7 +223,7 @@ int main(int argc, char** argv) {
       return cmd_report(argv[2], argc >= 4 ? argv[3] : nullptr);
     }
     if (cmd == "dump-scenario" && argc >= 3) {
-      const auto system = parse_system(argv[2]);
+      const auto system = platform::system_from_string(argv[2]);
       if (!system) {
         std::cerr << "unknown system " << argv[2] << "\n";
         return 2;

@@ -9,10 +9,7 @@ namespace hpcfail::core {
 
 AnalysisContext::AnalysisContext(const logmodel::LogStore& store,
                                  const jobs::JobTable* jobs, util::TimePoint begin,
-                                 util::TimePoint end,
-                                 const DetectorConfig& detector_config,
-                                 const RootCauseConfig& root_cause_config,
-                                 util::ThreadPool* pool)
+                                 util::TimePoint end)
     : store_(store), jobs_(jobs), begin_(begin), end_(end) {
   if (!store.finalized()) {
     throw std::logic_error(
@@ -29,12 +26,9 @@ AnalysisContext::AnalysisContext(const logmodel::LogStore& store,
     }
   }
 
-  // Memoized detection + diagnosis.  Evidence collection per failure is
-  // independent (immutable store/jobs/configs, disjoint output slots), so
-  // it shards over the pool with index-ordered assembly: the result is
-  // byte-identical to the serial loop.
-  const FailureDetector detector(detector_config);
-  const RootCauseEngine engine(root_cause_config);
+  // Memoized detection + diagnosis.
+  const FailureDetector detector;
+  const RootCauseEngine engine;
   {
     util::TraceSpan span("hpcfail.context.detect");
     detection_ = detector.detect_full(store, jobs);
@@ -45,14 +39,8 @@ AnalysisContext::AnalysisContext(const logmodel::LogStore& store,
   }
   {
     util::TraceSpan span("hpcfail.context.diagnose");
-    if (pool != nullptr && failures_.size() > 1) {
-      pool->parallel_for(failures_.size(), [&](std::size_t i) {
-        failures_[i].inference = engine.diagnose(store, failures_[i].event, jobs);
-      });
-    } else {
-      for (auto& f : failures_) {
-        f.inference = engine.diagnose(store, f.event, jobs);
-      }
+    for (auto& f : failures_) {
+      f.inference = engine.diagnose(store, f.event, jobs);
     }
   }
 

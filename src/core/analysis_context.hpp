@@ -5,11 +5,10 @@
 // engine existed every analyzer re-derived detection and re-scanned the
 // LogStore independently.  An AnalysisContext is built ONCE per engine run
 // and shared by every analyzer: it memoizes `FailureDetector::detect_full`,
-// diagnoses each failure (the per-failure evidence collection shards over a
-// ThreadPool with index-ordered assembly, byte-identical to serial), and
-// precomputes the joins the analyzers keep re-building — the in-window
-// event-type histogram, failure indexes per node, and failure indexes per
-// job id.
+// diagnoses each failure in one serial pass under the default detector and
+// root-cause configuration, and precomputes the joins the analyzers keep
+// re-building — the in-window event-type histogram, failure indexes per
+// node, and failure indexes per job id.
 #pragma once
 
 #include <array>
@@ -22,7 +21,6 @@
 #include "core/root_cause.hpp"
 #include "jobs/job_table.hpp"
 #include "logmodel/log_store.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail::core {
 
@@ -30,13 +28,9 @@ class AnalysisContext {
  public:
   /// Detects and diagnoses immediately; `store` must be finalized (throws
   /// std::logic_error otherwise) and must outlive the context, as must
-  /// `jobs` when non-null.  When `pool` is non-null the per-failure
-  /// diagnoses shard over it; the result is identical to the serial path.
+  /// `jobs` when non-null.
   AnalysisContext(const logmodel::LogStore& store, const jobs::JobTable* jobs,
-                  util::TimePoint begin, util::TimePoint end,
-                  const DetectorConfig& detector_config = {},
-                  const RootCauseConfig& root_cause_config = {},
-                  util::ThreadPool* pool = nullptr);
+                  util::TimePoint begin, util::TimePoint end);
 
   [[nodiscard]] const logmodel::LogStore& store() const noexcept { return store_; }
   [[nodiscard]] const jobs::JobTable* jobs() const noexcept { return jobs_; }

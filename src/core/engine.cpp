@@ -21,8 +21,7 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
                                        const jobs::JobTable* jobs,
                                        util::TimePoint begin, util::TimePoint end) const {
   util::TraceSpan run_span("hpcfail.engine.run");
-  const AnalysisContext ctx(store, jobs, begin, end, config_.detector,
-                            config_.root_cause, config_.pool);
+  const AnalysisContext ctx(store, jobs, begin, end);
   AnalysisResult out;
   out.begin = begin;
   out.end = end;
@@ -39,13 +38,13 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
   }
   {
     util::TraceSpan span("hpcfail.engine.analyzer_lead_times");
-    const LeadTimeAnalyzer analyzer(ctx.store(), config_.lead_time);
-    out.lead_times = analyzer.lead_times(ctx.failures(), config_.pool);
+    const LeadTimeAnalyzer analyzer(ctx.store());
+    out.lead_times = analyzer.lead_times(ctx.failures());
     out.lead_time_summary = LeadTimeAnalyzer::summarize_lead_times(out.lead_times);
   }
   {
     util::TraceSpan span("hpcfail.engine.analyzer_external_correlation");
-    const ExternalCorrelator correlator(ctx.store(), ctx.failures(), config_.correlator);
+    const ExternalCorrelator correlator(ctx.store(), ctx.failures());
     out.nvf = correlator.correspondence(logmodel::EventType::NodeVoltageFault,
                                         ctx.begin(), ctx.end());
     out.nhf = correlator.correspondence(logmodel::EventType::NodeHeartbeatFault,
@@ -60,7 +59,7 @@ AnalysisResult AnalysisEngine::analyze(const logmodel::LogStore& store,
   }
   {
     util::TraceSpan span("hpcfail.engine.analyzer_clusters");
-    out.clusters = cluster_failures(ctx.failures(), config_.cluster_gap);
+    out.clusters = cluster_failures(ctx.failures());
     out.cluster_summary = summarize_clusters(out.clusters);
   }
   return out;

@@ -1,21 +1,18 @@
 // The unified analysis facade: one call runs the paper's whole holistic
 // pipeline over a parsed corpus and returns every headline result.
 //
-//   AnalysisEngine engine;                       // default AnalysisConfig
+//   AnalysisEngine engine;
 //   core::AnalysisResult r = engine.analyze(parsed);
 //   // r.failures, r.breakdown, r.lead_time_summary, r.clusters, r.nvf ...
 //
 // The engine builds one AnalysisContext (memoized detection + diagnosis +
 // joins, see analysis_context.hpp) and runs five fixed analyzer stages
-// against it, each filling its AnalysisResult sections.  Per-failure
-// stages (root-cause evidence collection, lead-time attribution) shard over
-// `AnalysisConfig::pool` with deterministic index-ordered assembly — an
-// engine run with N threads is byte-identical to the serial run.
+// against it, serially and with the paper's one configuration (each
+// analyzer's default config), each filling its AnalysisResult sections.
 #pragma once
 
 #include <span>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/analysis_context.hpp"
@@ -32,18 +29,6 @@ struct ParsedCorpus;
 }  // namespace hpcfail::parsers
 
 namespace hpcfail::core {
-
-struct AnalysisConfig {
-  DetectorConfig detector;
-  RootCauseConfig root_cause;
-  LeadTimeConfig lead_time;
-  CorrelatorConfig correlator;
-  /// Consecutive failures closer than this form one spatio-temporal cluster.
-  util::Duration cluster_gap = util::Duration::minutes(30);
-  /// When non-null the per-failure stages shard over this pool; results
-  /// are assembled index-ordered, byte-identical to the serial path.
-  util::ThreadPool* pool = nullptr;
-};
 
 /// Everything one engine run produces.  Indexes in `lead_times` and
 /// `clusters` refer to `failures`.
@@ -81,13 +66,9 @@ struct AnalysisResult {
 
 class AnalysisEngine {
  public:
-  explicit AnalysisEngine(AnalysisConfig config = {}) : config_(std::move(config)) {}
-
   /// The analyzer stages in execution order.  Each runs under the trace
   /// span "hpcfail.engine.analyzer_" + trace_name_segment(name).
   [[nodiscard]] static std::span<const std::string_view> analyzer_names() noexcept;
-
-  [[nodiscard]] const AnalysisConfig& config() const noexcept { return config_; }
 
   /// Analyzes `store` over [begin, end): builds the context once, runs
   /// every analyzer.  Throws std::logic_error on a non-finalized store.
@@ -98,9 +79,6 @@ class AnalysisEngine {
 
   /// Analyzes a parsed corpus over its full time extent.
   [[nodiscard]] AnalysisResult analyze(const parsers::ParsedCorpus& parsed) const;
-
- private:
-  AnalysisConfig config_;
 };
 
 }  // namespace hpcfail::core

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "util/thread_pool.hpp"
-
 namespace hpcfail::core {
 
 using logmodel::EventType;
@@ -73,11 +71,11 @@ bool LeadTimeAnalyzer::external_indicator_near(platform::NodeId node,
 }
 
 std::vector<FailureLeadTime> LeadTimeAnalyzer::lead_times(
-    const std::vector<AnalyzedFailure>& failures, util::ThreadPool* pool) const {
+    const std::vector<AnalyzedFailure>& failures) const {
   std::vector<FailureLeadTime> out(failures.size());
-  const auto attribute = [&](std::size_t i) {
+  for (std::size_t i = 0; i < failures.size(); ++i) {
     const auto& f = failures[i];
-    FailureLeadTime lt;
+    FailureLeadTime& lt = out[i];
     lt.failure_index = i;
     lt.internal_lead = f.event.time - f.event.first_internal;
     if (const auto external = earliest_external(f.event)) {
@@ -86,15 +84,6 @@ std::vector<FailureLeadTime> LeadTimeAnalyzer::lead_times(
         lt.external_lead = external_lead;
       }
     }
-    out[i] = lt;
-  };
-  // Each attribution reads only the immutable store and writes its own
-  // slot, so the sharded path assembles index-ordered and is identical to
-  // the serial loop.
-  if (pool != nullptr && failures.size() > 1) {
-    pool->parallel_for(failures.size(), attribute);
-  } else {
-    for (std::size_t i = 0; i < failures.size(); ++i) attribute(i);
   }
   return out;
 }

@@ -15,10 +15,6 @@
 #include "logmodel/log_store.hpp"
 #include "stats/summary.hpp"
 
-namespace hpcfail::util {
-class ThreadPool;
-}  // namespace hpcfail::util
-
 namespace hpcfail::core {
 
 struct LeadTimeConfig {
@@ -75,13 +71,9 @@ class LeadTimeAnalyzer {
   /// first query against stale indexes).
   LeadTimeAnalyzer(const logmodel::LogStore& store, LeadTimeConfig config = {});
 
-  /// Per-failure lead times; indexes parallel `failures`.  When `pool` is
-  /// non-null the per-failure attributions (independent reads of the
-  /// immutable store) shard over it into disjoint slots; the result is
-  /// identical to the serial path.
+  /// Per-failure lead times; indexes parallel `failures`.
   [[nodiscard]] std::vector<FailureLeadTime> lead_times(
-      const std::vector<AnalyzedFailure>& failures,
-      util::ThreadPool* pool = nullptr) const;
+      const std::vector<AnalyzedFailure>& failures) const;
 
   [[nodiscard]] LeadTimeSummary summarize(
       const std::vector<AnalyzedFailure>& failures) const;

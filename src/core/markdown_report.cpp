@@ -12,6 +12,12 @@
 namespace hpcfail::core {
 
 std::string markdown_report(const ReportInputs& inputs) {
+  const AnalysisResult analysis =
+      AnalysisEngine().analyze(*inputs.store, inputs.jobs, inputs.begin, inputs.end);
+  return markdown_report(inputs, analysis);
+}
+
+std::string markdown_report(const ReportInputs& inputs, const AnalysisResult& analysis) {
   std::ostringstream out;
   const auto& store = *inputs.store;
   const auto window_days = (inputs.end - inputs.begin).usec / util::Duration::days(1).usec;
@@ -23,10 +29,7 @@ std::string markdown_report(const ReportInputs& inputs) {
   if (inputs.jobs != nullptr) out << ", " << inputs.jobs->size() << " jobs";
   out << ".\n\n";
 
-  // --- one engine run produces every section's numbers ---
-  const AnalysisEngine engine;
-  const AnalysisResult analysis = engine.analyze(store, inputs.jobs, inputs.begin,
-                                                 inputs.end);
+  // --- the engine run produces every section's numbers ---
   const auto& failures = analysis.failures;
   const auto& breakdown = analysis.breakdown;
   out << "## Failures and root causes\n\n";

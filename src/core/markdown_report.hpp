@@ -14,6 +14,8 @@
 
 namespace hpcfail::core {
 
+struct AnalysisResult;
+
 struct ReportInputs {
   const logmodel::LogStore* store = nullptr;
   const jobs::JobTable* jobs = nullptr;         ///< may be null
@@ -23,7 +25,12 @@ struct ReportInputs {
   util::TimePoint end;
 };
 
-/// Runs the full analysis over the inputs and renders the report.
+/// Renders the report from `analysis`, an AnalysisEngine run over exactly
+/// the inputs' store, jobs and [begin, end) window.
+[[nodiscard]] std::string markdown_report(const ReportInputs& inputs,
+                                          const AnalysisResult& analysis);
+
+/// Runs the full analysis over the inputs, then renders the report.
 [[nodiscard]] std::string markdown_report(const ReportInputs& inputs);
 
 }  // namespace hpcfail::core

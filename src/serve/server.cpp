@@ -30,8 +30,7 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
       topology_(std::move(corpus.topology)),
       jobs_(std::move(corpus.jobs)),
       label_(corpus.system.label),
-      corpus_begin_(corpus.begin),
-      monitor_(config.monitor) {
+      corpus_begin_(corpus.begin) {
   util::TraceSpan span("hpcfail.serve.boot");
   parse_ctx_.topo = &topology_;
   const util::CivilTime civil = util::civil_time(corpus_begin_);
@@ -214,15 +213,10 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
   std::call_once(epoch.once, [this, &epoch, &computed] {
     computed = true;
     util::TraceSpan span("hpcfail.serve.analyze_epoch");
-    core::AnalysisConfig cfg;
-    cfg.detector = config_.detector;
-    cfg.root_cause = config_.root_cause;
-    cfg.pool = config_.pool;
-    const core::AnalysisEngine engine(cfg);
     epoch.analysis = std::make_shared<const core::AnalysisResult>(
-        engine.analyze(epoch.store, &jobs_, epoch.begin, epoch.end));
-    // The markdown report runs the same engine pipeline internally; render
-    // it here so one recompute per epoch covers every analysis-backed verb.
+        core::AnalysisEngine().analyze(epoch.store, &jobs_, epoch.begin, epoch.end));
+    // Render the report from that one engine run, so every analysis-backed
+    // verb (causes, lead_time, report) answers from the same result.
     core::ReportInputs inputs;
     inputs.store = &epoch.store;
     inputs.jobs = &jobs_;
@@ -230,7 +224,7 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
     inputs.system_label = label_;
     inputs.begin = epoch.begin;
     inputs.end = epoch.end;
-    epoch.report = core::markdown_report(inputs);
+    epoch.report = core::markdown_report(inputs, *epoch.analysis);
     recomputes_.fetch_add(1, std::memory_order_relaxed);
     if (util::MetricsRegistry* reg = util::metrics()) {
       reg->counter("hpcfail.serve.analysis_recomputes").increment();

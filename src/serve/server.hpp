@@ -37,7 +37,6 @@
 #include "parsers/source_parsers.hpp"
 #include "serve/protocol.hpp"
 #include "serve/tail.hpp"
-#include "util/thread_pool.hpp"
 
 namespace hpcfail::serve {
 
@@ -55,12 +54,6 @@ struct ServerConfig {
   /// Sliding analysis window: queries analyze [last record - window,
   /// last record], clipped to the store extent.
   util::Duration window = util::Duration::days(30);
-  core::DetectorConfig detector;
-  core::RootCauseConfig root_cause;
-  core::MonitorConfig monitor;
-  /// Shards the per-failure analysis stages; null = serial (results are
-  /// byte-identical either way, per the engine's determinism contract).
-  util::ThreadPool* pool = nullptr;
 };
 
 class Server {
@@ -131,7 +124,7 @@ class Server {
     // Lazy per-epoch analysis cache, filled at most once under `once`.
     std::once_flag once;
     std::shared_ptr<const core::AnalysisResult> analysis;
-    std::string report;  ///< markdown_report over the epoch window
+    std::string report;  ///< markdown_report rendered from `analysis`
   };
 
   struct AttachedTail {

@@ -121,41 +121,6 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
   }
 }
 
-void ThreadPool::parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
-  // hpcfail-lint: allow(capture-lifetime) -- parallel_for_ranges joins every chunk before returning
-  parallel_for_ranges(n, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-void ThreadPool::parallel_for_ranges(
-    std::size_t n, const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  // ~4 chunks per worker amortizes imbalance without flooding the queue.
-  const std::size_t target_chunks = std::max<std::size_t>(1, workers_.size() * 4);
-  const std::size_t chunk = std::max<std::size_t>(1, (n + target_chunks - 1) / target_chunks);
-  std::vector<std::future<void>> futures;
-  futures.reserve((n + chunk - 1) / chunk);
-  for (std::size_t begin = 0; begin < n; begin += chunk) {
-    const std::size_t end = std::min(n, begin + chunk);
-    // hpcfail-lint: allow(capture-lifetime) -- the join loop below waits out every chunk; &fn is pinned until then
-    futures.push_back(submit([&fn, begin, end] { fn(begin, end); }));
-  }
-  // Wait for EVERY chunk before rethrowing: the tasks capture `fn` by
-  // reference, so returning while chunks are still queued would leave them
-  // calling through a dangling reference.  First exception (in chunk order)
-  // wins, the rest are swallowed deliberately.
-  std::exception_ptr first;
-  for (auto& f : futures) {
-    try {
-      f.get();
-    } catch (...) {
-      if (!first) first = std::current_exception();
-    }
-  }
-  if (first) std::rethrow_exception(first);
-}
-
 ThreadPool& default_pool() {
   static ThreadPool pool;
   return pool;

@@ -1,7 +1,7 @@
-// Fixed-size thread pool with a blocking task queue plus a chunked
-// parallel_for.  The analysis pipeline shards work per day / per node and
-// runs the shards here; determinism is preserved because shards never share
-// mutable state and results are merged in index order.
+// Fixed-size thread pool with a blocking task queue.  Callers submit tasks
+// and hold the futures: chunked text ingest parses chunks here (merging them
+// in chunk order), and the serve session answers requests here.  The
+// analysis itself runs serially and never touches a pool.
 //
 // Observability (util/metrics.hpp): when a MetricsRegistry is installed the
 // pool exports, under `hpcfail.pool.*`:
@@ -52,17 +52,6 @@ class ThreadPool {
     enqueue([task] { (*task)(); });
     return result;
   }
-
-  /// Runs fn(i) for i in [0, n), blocking until all iterations finish.
-  /// Work is split into contiguous chunks, one future per chunk.  Exceptions
-  /// from any iteration propagate to the caller (first chunk wins); the call
-  /// still joins every chunk before throwing, so `fn` is never referenced
-  /// after return.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Runs fn(begin, end) over contiguous ranges covering [0, n).
-  void parallel_for_ranges(std::size_t n,
-                           const std::function<void(std::size_t, std::size_t)>& fn);
 
  private:
   /// Instrument slots resolved against the currently installed registry.

@@ -27,11 +27,9 @@ using logmodel::Severity;
 /// Detection + diagnosis over the store's full extent, through the same
 /// AnalysisContext substrate the unified engine shares.
 std::vector<AnalyzedFailure> analyze_all(const logmodel::LogStore& store,
-                                         const jobs::JobTable* jobs,
-                                         util::ThreadPool* pool = nullptr) {
+                                         const jobs::JobTable* jobs) {
   const AnalysisContext ctx(store, jobs, store.first_time(),
-                            store.last_time() + util::Duration::microseconds(1), {}, {},
-                            pool);
+                            store.last_time() + util::Duration::microseconds(1));
   return ctx.failures();
 }
 
@@ -416,29 +414,6 @@ TEST(LeadTimeTest, PredictorPatternsAndGate) {
   const auto gated = analyzer.evaluate_predictor(failures, true);
   EXPECT_EQ(gated.flagged, 1u);
   EXPECT_EQ(gated.false_positive, 0u);
-}
-
-TEST(ParallelAnalysisTest, MatchesSerialExactly) {
-  // Many chains across nodes; parallel diagnosis must equal serial.
-  std::vector<LogRecord> records;
-  for (std::uint32_t n = 0; n < 40; ++n) {
-    const auto base_offset = util::Duration::minutes(10 + n * 7);
-    records.push_back(rec(base_offset, EventType::HardwareError, n));
-    records.push_back(
-        rec(base_offset + util::Duration::minutes(2), EventType::MachineCheckException, n));
-    records.push_back(
-        rec(base_offset + util::Duration::minutes(3), EventType::KernelPanic, n));
-  }
-  const logmodel::LogStore store{std::move(records), test_symbols()};
-  const auto serial = analyze_all(store, nullptr);
-  util::ThreadPool pool(4);
-  const auto parallel = analyze_all(store, nullptr, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i].event.node.value, parallel[i].event.node.value);
-    EXPECT_EQ(serial[i].inference.cause, parallel[i].inference.cause);
-    EXPECT_EQ(serial[i].inference.rationale, parallel[i].inference.rationale);
-  }
 }
 
 // ------------------------------------------------------------------ jobs ----

@@ -1,12 +1,8 @@
-// AnalysisEngine equivalence and determinism (the tentpole guarantees):
-//
-//  1. On every system preset S1-S5 the engine's AnalysisResult is
-//     record-for-record identical to the legacy hand-wired path
-//     (FailureDetector + RootCauseEngine + LeadTimeAnalyzer +
-//     ExternalCorrelator + BenignFaultAnalyzer + cluster_failures + report
-//     helpers, each wired by hand, serial).
-//  2. Same seed, 1 vs N threads: identical AnalysisResult — the parallel
-//     per-failure stages assemble index-ordered, byte-identical to serial.
+// AnalysisEngine equivalence: on every system preset S1-S5 the engine's
+// AnalysisResult is record-for-record identical to the legacy hand-wired
+// path (FailureDetector + RootCauseEngine + LeadTimeAnalyzer +
+// ExternalCorrelator + BenignFaultAnalyzer + cluster_failures + report
+// helpers, each wired by hand), and instrumentation never perturbs it.
 //
 // Doubles are compared with EXPECT_EQ on purpose: both paths must execute
 // the same operations in the same order, so even floating-point aggregates
@@ -28,7 +24,6 @@
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
 #include "util/metrics.hpp"
-#include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
 namespace hpcfail {
@@ -210,33 +205,6 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, EngineEquivalence,
                            return std::string(platform::to_string(info.param));
                          });
 
-/// Same seed, 1 vs N threads: the sharded per-failure stages must
-/// assemble identically — no ordering or partial-aggregation drift.
-TEST(EngineDeterminism, OneVsManyThreadsIdentical) {
-  const auto c = make_corpus(platform::SystemName::S1, 10, 3200);
-
-  util::ThreadPool one(1);
-  util::ThreadPool many(4);
-  core::AnalysisConfig serial_config;
-  serial_config.pool = &one;
-  core::AnalysisConfig parallel_config;
-  parallel_config.pool = &many;
-
-  const auto serial = core::AnalysisEngine(serial_config)
-                          .analyze(c.parsed.store, &c.parsed.jobs, c.scenario.begin,
-                                   c.scenario.end());
-  const auto parallel = core::AnalysisEngine(parallel_config)
-                            .analyze(c.parsed.store, &c.parsed.jobs, c.scenario.begin,
-                                     c.scenario.end());
-  ASSERT_GT(serial.failures.size(), 1u);
-  expect_results_equal(serial, parallel);
-
-  // And the no-pool engine (fully serial loops) agrees with both.
-  const auto unpooled = core::AnalysisEngine().analyze(
-      c.parsed.store, &c.parsed.jobs, c.scenario.begin, c.scenario.end());
-  expect_results_equal(unpooled, parallel);
-}
-
 /// The ParsedCorpus overload analyzes the corpus's full extent.
 TEST(EngineTest, ParsedCorpusOverloadCoversFullExtent) {
   const auto c = make_corpus(platform::SystemName::S1, 5, 3300);
@@ -344,45 +312,6 @@ INSTANTIATE_TEST_SUITE_P(AllSystems, EngineMetricsEquivalence,
                          [](const auto& info) {
                            return std::string(platform::to_string(info.param));
                          });
-
-/// 1 vs N threads with both sinks live: the pool's queue-depth gauge and
-/// task-latency histogram fire from worker threads, and the result still
-/// matches the dark serial run exactly.
-TEST(EngineMetricsEquivalence, InstrumentedOneVsManyThreadsIdentical) {
-  const auto c = make_corpus(platform::SystemName::S1, 7, 3700);
-  const auto dark = core::AnalysisEngine().analyze(
-      c.parsed.store, &c.parsed.jobs, c.scenario.begin, c.scenario.end());
-  ASSERT_GT(dark.failures.size(), 1u);
-
-  util::MetricsRegistry registry;
-  util::TraceRecorder recorder;
-  core::AnalysisResult serial;
-  core::AnalysisResult parallel;
-  {
-    SinkGuard guard(&registry, &recorder);
-    util::ThreadPool one(1);
-    util::ThreadPool many(4);
-    core::AnalysisConfig serial_config;
-    serial_config.pool = &one;
-    core::AnalysisConfig parallel_config;
-    parallel_config.pool = &many;
-    serial = core::AnalysisEngine(serial_config)
-                 .analyze(c.parsed.store, &c.parsed.jobs, c.scenario.begin,
-                          c.scenario.end());
-    parallel = core::AnalysisEngine(parallel_config)
-                   .analyze(c.parsed.store, &c.parsed.jobs, c.scenario.begin,
-                            c.scenario.end());
-  }
-  expect_results_equal(dark, serial);
-  expect_results_equal(dark, parallel);
-
-  // Worker threads recorded into the registry while the pools ran.
-  std::uint64_t tasks_completed = 0;
-  for (const auto& [name, value] : registry.counters()) {
-    if (name == "hpcfail.pool.tasks_completed") tasks_completed = value;
-  }
-  EXPECT_GT(tasks_completed, 0u);
-}
 
 /// An empty (finalized) store analyzes to an all-empty result.
 TEST(EngineTest, EmptyStoreYieldsEmptyResult) {

@@ -393,6 +393,9 @@ TEST(PipelineObservability, TraceCoversSimulatorEngineAndContextPhases) {
   EXPECT_GT(counters["hpcfail.sim.failures_records"], 0u);
   ASSERT_TRUE(counters.count("hpcfail.sim.job_log_records"));
   EXPECT_GT(counters["hpcfail.sim.job_log_records"], 0u);
+  // The ingest pool's workers recorded into the registry while it ran.
+  ASSERT_TRUE(counters.count("hpcfail.pool.tasks_completed"));
+  EXPECT_GT(counters["hpcfail.pool.tasks_completed"], 0u);
   EXPECT_FALSE(result.failures.empty());
 }
 

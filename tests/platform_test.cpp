@@ -169,5 +169,14 @@ TEST(PresetTest, TableOneFacts) {
   }
 }
 
+TEST(PresetTest, SystemNameParsesItsOwnLabel) {
+  for (const auto& sys : all_system_presets()) {
+    EXPECT_EQ(system_from_string(sys.label), sys.name) << sys.label;
+  }
+  for (const char* bad : {"", "S0", "S6", "s1", "S1 ", "S12"}) {
+    EXPECT_FALSE(system_from_string(bad).has_value()) << '"' << bad << '"';
+  }
+}
+
 }  // namespace
 }  // namespace hpcfail::platform

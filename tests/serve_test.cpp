@@ -27,6 +27,7 @@
 #include "serve/tail.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
+#include "util/trace.hpp"
 
 namespace hpcfail {
 namespace {
@@ -79,8 +80,7 @@ struct Booted {
   std::unique_ptr<serve::Server> server;
 };
 
-Booted boot(platform::SystemName system, int days, unsigned seed,
-            serve::ServerConfig config = {}) {
+Booted boot(platform::SystemName system, int days, unsigned seed) {
   Booted out;
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(system, days, seed)).run();
@@ -92,7 +92,7 @@ Booted boot(platform::SystemName system, int days, unsigned seed,
         std::string(parsed.topology.node_name(parsed.store.nodes().front()));
   }
   out.tail_line = last_parsable_line(parsed, out.corpus, logmodel::LogSource::Console);
-  out.server = std::make_unique<serve::Server>(std::move(parsed), config);
+  out.server = std::make_unique<serve::Server>(std::move(parsed));
   return out;
 }
 
@@ -265,11 +265,27 @@ TEST(ServeProtocolTest, MalformedRequestsAnswerStructuredErrors) {
 
 // ------------------------------------------------------------ epoch cache --
 
+/// Installs a trace recorder for its lifetime, uninstalling even on failure.
+struct TraceGuard {
+  explicit TraceGuard(util::TraceRecorder* recorder) { util::install_trace(recorder); }
+  ~TraceGuard() { util::install_trace(nullptr); }
+  TraceGuard(const TraceGuard&) = delete;
+  TraceGuard& operator=(const TraceGuard&) = delete;
+};
+
+std::size_t engine_runs(const util::TraceRecorder& recorder) {
+  std::size_t runs = 0;
+  for (const auto& e : recorder.events()) runs += e.name == "hpcfail.engine.run" ? 1 : 0;
+  return runs;
+}
+
 TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
   Booted booted = boot(platform::SystemName::S2, 1, 4242);
   serve::Server& server = *booted.server;
   const ScratchFile tail("epoch_tail.log");
   server.attach_tail(tail.path(), logmodel::LogSource::Console);
+  util::TraceRecorder recorder;
+  const TraceGuard guard(&recorder);
 
   EXPECT_EQ(server.analysis_recomputes(), 0u) << "boot must not analyze eagerly";
   const std::string first = server.handle_line(R"({"id":1,"verb":"causes"})");
@@ -281,6 +297,8 @@ TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
   (void)server.handle_line(R"({"id":3,"verb":"report"})");
   EXPECT_EQ(server.analysis_recomputes(), 1u)
       << "lead_time/report within the epoch must reuse the cached analysis";
+  // The report renders from the cached result: one engine run per epoch.
+  EXPECT_EQ(engine_runs(recorder), 1u);
   EXPECT_NE(first.find("\"epoch\":0"), std::string::npos);
 
   // An empty poll is not a tail advance: epoch and cache stay put.
@@ -297,7 +315,9 @@ TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
   EXPECT_EQ(server.epoch(), 1u);
 
   const std::string after = server.handle_line(R"({"id":4,"verb":"causes"})");
+  (void)server.handle_line(R"({"id":6,"verb":"report"})");
   EXPECT_EQ(server.analysis_recomputes(), 2u);
+  EXPECT_EQ(engine_runs(recorder), 2u);
   EXPECT_NE(after.find("\"epoch\":1"), std::string::npos);
   const std::string status = server.handle_line(R"({"id":5,"verb":"status"})");
   EXPECT_NE(status.find("\"records\":" + std::to_string(booted.base_records + 1)),

@@ -1,14 +1,14 @@
 // TSan-targeted stress regression suite for the concurrent shard pipeline:
-// ThreadPool::submit / parallel_for under contention, exception propagation
-// without dangling task references, pool teardown with queued work, and
-// concurrent corpus ingestion through the shared default pool.  Run it under
-// the `tsan` and `asan` presets; the suite is also fast enough for plain CI.
+// ThreadPool::submit under contention, pool teardown with queued work, and
+// concurrent submitters and corpus ingestion through the shared default
+// pool.  Run it under the `tsan` and `asan` presets; the suite is also fast
+// enough for plain CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
-#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -46,49 +46,6 @@ TEST(ThreadPoolStress, ManyThreadsSubmitConcurrently) {
   EXPECT_EQ(executed.load(), kThreads * kTasksPerThread);
 }
 
-TEST(ThreadPoolStress, ParallelForCoversEveryIndexUnderContention) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 20000;
-  std::vector<std::atomic<int>> hits(kN);
-  pool.parallel_for(kN, [&hits](std::size_t i) {
-    hits[i].fetch_add(1, std::memory_order_relaxed);
-  });
-  for (std::size_t i = 0; i < kN; ++i) {
-    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-// Regression: parallel_for must join EVERY chunk before rethrowing.  The
-// task lambdas capture `fn` (and here, `sink`) by reference; before the fix
-// an early rethrow let still-queued chunks run against destroyed caller
-// state, which ASan reports as stack-use-after-scope and TSan as a race.
-TEST(ThreadPoolStress, ExceptionJoinsAllChunksBeforePropagating) {
-  ThreadPool pool(4);
-  constexpr std::size_t kN = 5000;
-  for (int round = 0; round < 20; ++round) {
-    std::atomic<std::size_t> entered{0};
-    bool threw = false;
-    {
-      std::vector<char> sink(kN, 0);
-      try {
-        pool.parallel_for(kN, [&sink, &entered](std::size_t i) {
-          entered.fetch_add(1, std::memory_order_relaxed);
-          if (i == 0) throw std::runtime_error("boom");
-          sink[i] = 1;
-        });
-      } catch (const std::runtime_error& e) {
-        threw = true;
-        EXPECT_STREQ(e.what(), "boom");
-      }
-      // Every chunk has been joined: no task may still be touching `sink`.
-      const std::size_t settled = entered.load();
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      EXPECT_EQ(entered.load(), settled);
-    }  // sink destroyed here; a straggler task would now be a UAF
-    EXPECT_TRUE(threw);
-  }
-}
-
 TEST(ThreadPoolStress, TeardownDrainsQueuedTasks) {
   constexpr std::size_t kTasks = 200;
   std::atomic<std::size_t> executed{0};
@@ -118,9 +75,14 @@ TEST(ThreadPoolStress, DefaultPoolSharedAcrossThreads) {
   users.reserve(kThreads);
   for (std::size_t t = 0; t < kThreads; ++t) {
     users.emplace_back([t, &sums] {
-      util::default_pool().parallel_for(kN, [t, &sums](std::size_t i) {
-        sums[t].fetch_add(i, std::memory_order_relaxed);
-      });
+      std::vector<std::future<void>> futures;
+      futures.reserve(kN);
+      for (std::size_t i = 0; i < kN; ++i) {
+        futures.push_back(util::default_pool().submit([t, i, &sums] {
+          sums[t].fetch_add(i, std::memory_order_relaxed);
+        }));
+      }
+      for (auto& f : futures) f.get();
     });
   }
   for (auto& u : users) u.join();

@@ -2,7 +2,6 @@
 // and the JSON codec.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -654,33 +653,10 @@ TEST(TableTest, CsvQuoting) {
 
 // --------------------------------------------------------- thread pool ----
 
-TEST(ThreadPoolTest, ParallelForCoversAllIndexes) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) {
-    EXPECT_EQ(h.load(), 1);
-  }
-}
-
 TEST(ThreadPoolTest, SubmitReturnsValue) {
   ThreadPool pool(2);
   auto f = pool.submit([] { return 41 + 1; });
   EXPECT_EQ(f.get(), 42);
-}
-
-TEST(ThreadPoolTest, ParallelForEmpty) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPoolTest, RangesPartitionExactly) {
-  ThreadPool pool(3);
-  std::atomic<std::size_t> total{0};
-  pool.parallel_for_ranges(777, [&total](std::size_t b, std::size_t e) {
-    total.fetch_add(e - b);
-  });
-  EXPECT_EQ(total.load(), 777u);
 }
 
 // --------------------------------------------------------------- json ----

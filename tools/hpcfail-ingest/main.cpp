@@ -67,15 +67,6 @@ void usage(std::FILE* to) {
       to);
 }
 
-std::optional<platform::SystemName> preset_of(std::string_view name) {
-  if (name == "S1") return platform::SystemName::S1;
-  if (name == "S2") return platform::SystemName::S2;
-  if (name == "S3") return platform::SystemName::S3;
-  if (name == "S4") return platform::SystemName::S4;
-  if (name == "S5") return platform::SystemName::S5;
-  return std::nullopt;
-}
-
 double peak_rss_mb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
@@ -136,7 +127,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       dir = value();
     } else if (arg == "--preset") {
-      preset = preset_of(value());
+      preset = platform::system_from_string(value());
       if (!preset) {
         std::fputs("hpcfail-ingest: --preset expects S1..S5\n", stderr);
         return 2;

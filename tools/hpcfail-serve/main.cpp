@@ -65,7 +65,7 @@ void usage(std::FILE* to) {
       "  --tail-replay      read the tail from byte 0 instead of only the\n"
       "                     lines appended after boot\n"
       "  --window-days N    sliding analysis window (default 30)\n"
-      "  --threads N        pool threads for analysis + request handling\n"
+      "  --threads N        pool threads for ingest + request handling\n"
       "                     (default and 0: hardware concurrency)\n"
       "\n"
       "observability:\n"
@@ -78,15 +78,6 @@ void usage(std::FILE* to) {
       "--metrics-out, --trace-out and --fault also accept --opt=VALUE form.\n"
       "A boot that ends in a structured snapshot/ingest error exits 3.\n",
       to);
-}
-
-std::optional<platform::SystemName> preset_of(std::string_view name) {
-  if (name == "S1") return platform::SystemName::S1;
-  if (name == "S2") return platform::SystemName::S2;
-  if (name == "S3") return platform::SystemName::S3;
-  if (name == "S4") return platform::SystemName::S4;
-  if (name == "S5") return platform::SystemName::S5;
-  return std::nullopt;
 }
 
 std::optional<logmodel::LogSource> tail_source_of(std::string_view name) {
@@ -146,7 +137,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       dir = value();
     } else if (arg == "--preset") {
-      preset = preset_of(value());
+      preset = platform::system_from_string(value());
       if (!preset) {
         std::fputs("hpcfail-serve: --preset expects S1..S5\n", stderr);
         return 2;
@@ -278,7 +269,6 @@ int main(int argc, char** argv) {
 
     serve::ServerConfig config;
     config.window = util::Duration::days(window_days);
-    config.pool = &pool;
     serve::Server server(std::move(corpus), config);
 
     if (!tail_path.empty()) {

@@ -60,15 +60,6 @@ void usage(std::FILE* to) {
       to);
 }
 
-std::optional<platform::SystemName> preset_of(std::string_view name) {
-  if (name == "S1") return platform::SystemName::S1;
-  if (name == "S2") return platform::SystemName::S2;
-  if (name == "S3") return platform::SystemName::S3;
-  if (name == "S4") return platform::SystemName::S4;
-  if (name == "S5") return platform::SystemName::S5;
-  return std::nullopt;
-}
-
 void print_summary(const parsers::ParsedCorpus& corpus) {
   std::printf("system          %s\n", corpus.system.label.c_str());
   std::printf("window          %d day(s)\n", corpus.days);
@@ -217,7 +208,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--dir") {
       dir = value();
     } else if (arg == "--preset") {
-      preset = preset_of(value());
+      preset = platform::system_from_string(value());
       if (!preset) {
         std::fputs("hpcfail-store: --preset expects S1..S5\n", stderr);
         return 2;
