@@ -11,8 +11,8 @@
 // header-inline SWAR at every tier, so the timestamp row moving with the
 // tier would itself be a bug.
 //
-// `--json[=PATH]` writes BENCH_scan.json (CI uploads it next to
-// BENCH_pipeline.ci.json); with no flag a human-readable table prints.
+// `--json[=PATH]` writes BENCH_scan.json (CI uploads it as an artifact);
+// with no flag a human-readable table prints.
 // Inputs are real rendered log text (one simulated S1 day, fixed seed),
 // not synthetic byte soup, so anchor-byte frequencies match production.
 #include <chrono>
@@ -34,7 +34,7 @@ namespace {
 using namespace hpcfail;
 using Clock = std::chrono::steady_clock;
 
-constexpr int kRepeats = 5;          // best-of, like perf_pipeline --json
+constexpr int kRepeats = 5;          // best-of
 constexpr double kMinSeconds = 0.2;  // per measured repeat
 
 struct Rate {

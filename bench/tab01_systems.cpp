@@ -1,6 +1,8 @@
 // Table I: the five-system inventory. Prints the presets and verifies the
 // modelled topologies reach the paper's node counts.
 // No failure analysis here — pure topology. hpcfail-lint: allow(bench-pipeline)
+#include <string_view>
+
 #include "bench_common.hpp"
 #include "platform/system_config.hpp"
 #include "util/table.hpp"
@@ -13,10 +15,11 @@ int main() {
                          "Scheduler", "FS/OS", "Processors", "Extras"});
   for (const auto& sys : platform::all_system_presets()) {
     const platform::Topology topo(sys.topology);
-    std::string extras;
-    if (sys.has_gpus) extras += "GPUs ";
-    if (sys.has_burst_buffer) extras += "BurstBuffer";
-    if (extras.empty()) extras = "-";
+    // Literals, not an appended std::string: GCC 12 raises a spurious
+    // -Wrestrict on the string assignment at -O2.
+    const std::string_view extras = sys.has_gpus
+                                        ? (sys.has_burst_buffer ? "GPUs BurstBuffer" : "GPUs ")
+                                        : (sys.has_burst_buffer ? "BurstBuffer" : "-");
     // Built stepwise: GCC 12's -Wrestrict false-positives on chained +.
     std::string fs_os = sys.filesystem_name();
     fs_os += '/';

@@ -71,7 +71,8 @@ void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
   out += ']';
 }
 
-std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view text) noexcept {
+std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view text,
+                                                              std::uint32_t node_count) noexcept {
   std::string_view rest;
   if (auto r = util::strip_prefix(text, "nid")) {
     rest = *r;
@@ -88,18 +89,21 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
   // list (one entry per comma piece, tiny next to the expansion) still
   // gives an exact reserve: these vectors live for the whole run inside
   // JobInfo, and capacity slack there is real memory.
-  const auto parse_piece = [](std::string_view piece, std::uint64_t& lo,
-                              std::uint64_t& hi) -> bool {
+  // Every piece is bounded once, by its hi end: ids past the topology
+  // (which also covers u64 values that would wrap the uint32_t cast) make
+  // the whole list malformed.
+  const auto parse_piece = [node_count](std::string_view piece, std::uint64_t& lo,
+                                        std::uint64_t& hi) -> bool {
     const std::size_t dash = piece.find('-');
     if (dash == std::string_view::npos) {
       const auto v = util::parse_u64(piece);
-      if (!v) return false;
+      if (!v || *v >= node_count) return false;
       lo = hi = *v;
       return true;
     }
     const auto l = util::parse_u64(piece.substr(0, dash));
     const auto h = util::parse_u64(piece.substr(dash + 1));
-    if (!l || !h || *h < *l || *h - *l > 1'000'000) return false;
+    if (!l || !h || *h < *l || *h >= node_count) return false;
     lo = *l;
     hi = *h;
     return true;
@@ -138,8 +142,9 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
                          util::scan::parse_digits4(inner.data() + start, hi4)) {
           const unsigned last = static_cast<unsigned char>(inner[start + 4]) - '0';
           if (last <= 9) {
-            out.push_back(
-                platform::NodeId{static_cast<std::uint32_t>(hi4) * 10u + last});
+            const std::uint32_t id = static_cast<std::uint32_t>(hi4) * 10u + last;
+            if (id >= node_count) return std::nullopt;
+            out.push_back(platform::NodeId{id});
             if (left == 5) return out;
             start += 6;
             continue;
@@ -148,7 +153,7 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
         std::size_t comma = util::scan::find_byte(inner, ',', start);
         if (comma == util::scan::npos) comma = inner.size();
         const auto v = util::parse_u64(inner.substr(start, comma - start));
-        if (!v) return std::nullopt;
+        if (!v || *v >= node_count) return std::nullopt;
         out.push_back(platform::NodeId{static_cast<std::uint32_t>(*v)});
         if (comma == inner.size()) break;
         start = comma + 1;
@@ -177,8 +182,9 @@ std::optional<std::vector<platform::NodeId>> expand_node_list(std::string_view t
       const std::size_t len = comma - start;
       if (len == 5 && nid5(p, lo)) {
         hi = lo;
+        if (hi >= node_count) return std::nullopt;
       } else if (len == 11 && p[5] == '-' && nid5(p, lo) && nid5(p + 6, hi)) {
-        if (hi < lo) return std::nullopt;
+        if (hi < lo || hi >= node_count) return std::nullopt;
       } else if (!parse_piece(inner.substr(start, len), lo, hi)) {
         return std::nullopt;
       }

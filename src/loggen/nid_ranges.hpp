@@ -4,6 +4,7 @@
 // carry job allocations in this form; the parser expands them back.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,9 +22,10 @@ namespace hpcfail::loggen {
 void append_node_list(std::string& out, std::span<const platform::NodeId> nodes,
                       platform::NamingScheme naming);
 
-/// Expands the compressed form. Returns nullopt on malformed input.
-/// Validation against a topology (bounds) is the caller's business.
+/// Expands the compressed form. Returns nullopt on malformed input or
+/// when any id is >= `node_count` (a corrupted list, e.g. two nids fused
+/// by a lost comma, must not size per-node tables by a garbage id).
 [[nodiscard]] std::optional<std::vector<platform::NodeId>> expand_node_list(
-    std::string_view text) noexcept;
+    std::string_view text, std::uint32_t node_count) noexcept;
 
 }  // namespace hpcfail::loggen

@@ -2,7 +2,7 @@
 //
 // Hand-rolled substring matching over std::string_view (no std::regex): the
 // signature set is small and fixed, and substring scans are an order of
-// magnitude faster — the ablation in bench/perf_pipeline measures the gap.
+// magnitude faster; bench/perf_scan times the classifier per ISA tier.
 // Since the SWAR/SIMD rework the whole signature cascade runs as ONE
 // rare-byte-keyed pass over the payload (util::scan::SignatureSet) instead
 // of one contains() scan per signature; the *_ref variants below resolve

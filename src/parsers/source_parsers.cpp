@@ -243,7 +243,7 @@ std::optional<LogRecord> parse_erd_line(std::string_view line,
 }
 
 std::optional<LogRecord> SchedulerLogParser::parse_line(std::string_view line) {
-  if (ctx_.symbols == nullptr) return std::nullopt;
+  if (ctx_.topo == nullptr || ctx_.symbols == nullptr) return std::nullopt;
   // Torque/PBS dialect: MM/DD/YYYY HH:MM:SS;0008;PBS_Server;Job;<id>.sdb;<payload>
   if (line.size() > 20 && line[2] == '/' && line[19] == ';') {
     return parse_torque_line(line);
@@ -364,7 +364,8 @@ std::optional<LogRecord> SchedulerLogParser::register_allocation(std::string_vie
     if (util::ends_with(m, "G")) m.remove_suffix(1);
     info.mem_per_node_gb = util::parse_double(m).value_or(0.0);
   }
-  auto nodes = loggen::expand_node_list(node_list);
+  // Ids past the topology (a corrupted list) reject the whole line.
+  auto nodes = loggen::expand_node_list(node_list, ctx_.topo->node_count());
   if (!nodes) return std::nullopt;
   info.nodes = std::move(*nodes);
   r.type = EventType::JobStart;

@@ -1,15 +1,12 @@
 // Fixture: by-reference captures queued into the pool must be rejected.
-#include <cstddef>
-
 struct Pool {
   template <typename F> int submit(F f) { return f(), 0; }
-  template <typename F> void parallel_for_ranges(std::size_t n, F f) { f(0, n); }
 };
 
 void drifted(Pool& pool) {
   int total = 0;
   pool.submit([&total] { total += 1; });
-  pool.parallel_for_ranges(4, [&](std::size_t b, std::size_t e) { total += int(e - b); });
+  pool.submit([&] { total += 2; });
 }
 
 void tolerated(Pool& pool) {

@@ -1,15 +1,10 @@
 // Fixture: a pool user whose tasks capture by value only (clean).
-#include <cstddef>
-
 struct Pool {
   template <typename F> int submit(F f) { return f(), 0; }
-  template <typename F> void parallel_for_ranges(std::size_t n, F f) { f(0, n); }
 };
 
 int run(Pool& pool) {
   const int seed = 7;
-  pool.parallel_for_ranges(4, [seed](std::size_t b, std::size_t e) {
-    (void)(seed + int(e - b));
-  });
+  pool.submit([seed, n = 4] { return seed + n; });
   return pool.submit([seed] { return seed + 1; });
 }

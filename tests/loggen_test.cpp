@@ -38,22 +38,31 @@ TEST(NidRangeTest, CompressKnownForms) {
 }
 
 TEST(NidRangeTest, ExpandKnownForms) {
-  const auto single = expand_node_list("nid00042");
+  const auto single = expand_node_list("nid00042", 100);
   ASSERT_TRUE(single.has_value());
   ASSERT_EQ(single->size(), 1u);
   EXPECT_EQ((*single)[0].value, 42u);
-  const auto list = expand_node_list("nid[00001-00003,00007]");
+  const auto list = expand_node_list("nid[00001-00003,00007]", 100);
   ASSERT_TRUE(list.has_value());
   EXPECT_EQ(list->size(), 4u);
-  const auto empty = expand_node_list("nid[]");
+  const auto empty = expand_node_list("nid[]", 100);
   ASSERT_TRUE(empty.has_value());
   EXPECT_TRUE(empty->empty());
+  const auto last = expand_node_list("nid[00098-00099]", 100);
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->back().value, 99u);
 }
 
 TEST(NidRangeTest, ExpandRejectsMalformed) {
-  for (const char* bad : {"", "xid[001]", "nid[", "nid[1-", "nid[3-1]", "nid[1,,2]",
-                          "nid[1-2", "nid[a-b]", "nid[00001-99999999]"}) {
-    EXPECT_FALSE(expand_node_list(bad).has_value()) << bad;
+  // Ids >= the node count (100 here) are rejected in every piece shape:
+  // the 5-digit fast paths, the generic parse, ranges by their hi end,
+  // fused nids (a lost comma) and values that would wrap a 32-bit id.
+  for (const char* bad :
+       {"", "xid[001]", "nid[", "nid[1-", "nid[3-1]", "nid[1,,2]", "nid[1-2", "nid[a-b]",
+        "nid[00001-99999999]", "nid00100", "node0100", "nid[00100]", "nid[00001,00100]",
+        "nid[00001-00002,00100]", "nid[00098-00100]", "nid[1-100]", "nid[0,100]",
+        "nid[00012,0004100042]", "nid[4294967296]", "nid[00001-00002,4294967297]"}) {
+    EXPECT_FALSE(expand_node_list(bad, 100).has_value()) << bad;
   }
 }
 
@@ -74,7 +83,7 @@ TEST_P(NidRangeRoundTrip, RandomSetsRoundTrip) {
 
   const std::string compressed =
       compress_node_list(shuffled, platform::NamingScheme::CrayCname);
-  const auto expanded = expand_node_list(compressed);
+  const auto expanded = expand_node_list(compressed, 6400);
   ASSERT_TRUE(expanded.has_value()) << compressed;
   ASSERT_EQ(expanded->size(), input.size());
   for (std::size_t i = 0; i < input.size(); ++i) {

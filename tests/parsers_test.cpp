@@ -341,6 +341,45 @@ TEST(SchedulerParserTest, TorqueMalformedRejected) {
           .has_value());
 }
 
+/// Ingests `good` then `fused` as a one-day S1 scheduler log: the fused
+/// line must be exactly one skipped line and register no job, while the
+/// good line still parses.  A lost comma fuses two 5-digit nids into one
+/// id far past the topology; kept, it would size JobTable's per-node
+/// index by that id.
+void expect_fused_list_skipped(const std::string& good, const std::string& fused,
+                               std::int64_t good_id, std::int64_t fused_id) {
+  loggen::Corpus corpus;
+  corpus.system = platform::system_preset(platform::SystemName::S1);
+  corpus.begin = util::make_time(2015, 3, 2);
+  corpus.days = 1;
+  corpus.of(logmodel::LogSource::Scheduler) = good + '\n' + fused + '\n';
+  const auto parsed = ingest_corpus(corpus);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.total_lines, 2u);
+  EXPECT_EQ(parsed.skipped_lines, 1u);
+  EXPECT_EQ(parsed.jobs.size(), 1u);
+  EXPECT_NE(parsed.jobs.find(good_id), nullptr);
+  EXPECT_EQ(parsed.jobs.find(fused_id), nullptr);
+}
+
+TEST(SchedulerParserTest, SlurmFusedNodeListIsOneSkippedLine) {
+  expect_fused_list_skipped(
+      "2015-03-02T08:00:00.000000 slurmctld: sched: Allocate JobId=100001 Apid=1000017 "
+      "User=alice App=vasp NodeList=nid[00040,00041] NodeCnt=2 MemPerNode=28.0G",
+      "2015-03-02T08:00:01.000000 slurmctld: sched: Allocate JobId=100002 Apid=1000027 "
+      "User=alice App=vasp NodeList=nid[00040,0004100042] NodeCnt=3 MemPerNode=28.0G",
+      100001, 100002);
+}
+
+TEST(SchedulerParserTest, TorqueFusedNodeListIsOneSkippedLine) {
+  expect_fused_list_skipped(
+      "03/02/2015 08:00:00;0008;PBS_Server;Job;200001.sdb;Job Run Apid=2000017 User=bob "
+      "App=wrf NodeList=nid[00004-00007] NodeCnt=4 MemPerNode=24.0G",
+      "03/02/2015 08:00:01;0008;PBS_Server;Job;200002.sdb;Job Run Apid=2000027 User=bob "
+      "App=wrf NodeList=nid[00004-00007,0000800009] NodeCnt=6 MemPerNode=24.0G",
+      200001, 200002);
+}
+
 // -------------------------------------------------------------- totality ----
 
 /// Property: mutated log lines never crash any parser (they may parse or

@@ -7,7 +7,7 @@
 //   - the per-structure hooks (CsrIndex, SymbolTable, LogStore, JobTable),
 //   - the corpus-level round trip: a loaded snapshot must drive
 //     markdown_report to bytes identical to the text-parse path, on the
-//     same S2 week/seed-42 corpus the committed BENCH_pipeline.json pins,
+//     same S2 week/seed-42 corpus `hpcfail-ingest --preset S2` defaults to,
 //   - the two snapshot fault sites (store.snapshot.write_io / read_io).
 #include <gtest/gtest.h>
 
@@ -455,8 +455,9 @@ TEST(JobTableSnapshotTest, RoundtripPreservesJobsAndNodeIndex) {
 
 // -------------------------------------------------- corpus-level equality ----
 
-/// The acceptance corpus: one simulated S2 week, seed 42 — the same corpus
-/// BENCH_pipeline.json measures.
+/// The acceptance corpus: one simulated S2 week, seed 42 — the corpus
+/// `hpcfail-ingest --preset S2` and `hpcfail-store save --preset S2` build
+/// by default.
 TEST(CorpusSnapshotTest, LoadedSnapshotReportsByteIdenticalToTextParse) {
   const auto sim =
       faultsim::Simulator(faultsim::scenario_preset(platform::SystemName::S2, 7, 42))

@@ -73,13 +73,10 @@ constexpr std::array<const char*, 4> kScanDirs = {"src", "bench", "examples", "t
 
 void scan_capture_lifetime(const SourceFile& file, Report& report) {
   const std::string check = "capture-lifetime";
-  static const std::set<std::string_view> kSinks = {"submit", "parallel_for_ranges"};
   const Tokens& toks = file.tokens;
 
   for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-    if (toks[i].kind != Token::Kind::Identifier || kSinks.count(toks[i].text) == 0) {
-      continue;
-    }
+    if (!is_ident(toks[i], "submit")) continue;
     if (!is_punct(toks[i + 1], "(")) continue;
     const std::size_t close = matching_close(toks, i + 1);
     if (close >= toks.size()) continue;
@@ -97,10 +94,10 @@ void scan_capture_lifetime(const SourceFile& file, Report& report) {
       }
       if (by_ref) {
         emit(file, toks[j].line, check,
-             "lambda passed to ThreadPool::" + std::string(toks[i].text) +
-                 "() captures by reference; a queued task can outlive the "
-                 "enclosing scope (the PR 1 use-after-scope class) — capture by "
-                 "value/move or justify with allow(capture-lifetime)",
+             "lambda passed to ThreadPool::submit() captures by reference; a "
+             "queued task can outlive the enclosing scope (the PR 1 "
+             "use-after-scope class) — capture by value/move or justify with "
+             "allow(capture-lifetime)",
              report);
       }
       j = intro_end;

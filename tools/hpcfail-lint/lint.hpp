@@ -138,10 +138,10 @@ void check_fault_sites(SourceTree& tree, Report& report);
 // allow leaves the finding standing and is itself diagnosed).
 // ---------------------------------------------------------------------------
 
-/// Lambdas handed to ThreadPool::submit() or parallel_for_ranges() must not
-/// capture by reference: a queued task can outlive the enclosing scope (the
-/// PR 1 use-after-scope, where an early rethrow left queued chunks holding a
-/// dangling fn reference).  Scans src/, bench/, examples/, tools/.
+/// Lambdas handed to ThreadPool::submit() must not capture by reference: a
+/// queued task can outlive the enclosing scope (the PR 1 use-after-scope,
+/// where an early rethrow left queued chunks holding a dangling fn
+/// reference).  Scans src/, bench/, examples/, tools/.
 void check_capture_lifetime(SourceTree& tree, Report& report);
 
 /// Functions must not return std::span/std::string_view derived from locals
