@@ -39,7 +39,7 @@ int main() {
   util::TextTable table({"gap bin (min)", "at risk", "events", "hazard"});
   for (const auto& bin : hazard) {
     table.row()
-        .cell("[" + util::fmt_double(bin.lo, 0) + ", " + util::fmt_double(bin.hi, 0) + ")")
+        .cell(bench::interval_label(bin.lo, bin.hi, 0, ')'))
         .cell(static_cast<std::int64_t>(bin.at_risk))
         .cell(static_cast<std::int64_t>(bin.events))
         .pct(bin.hazard());

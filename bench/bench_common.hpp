@@ -139,6 +139,26 @@ inline Pipeline run_system(platform::SystemName system, int days, std::uint64_t 
   return run_pipeline(faultsim::scenario_preset(system, days, seed));
 }
 
+/// A table row label: `prefix` then `n` ("W3", "J12").  Built with +=, as
+/// `"W" + std::to_string(n)` draws a false -Wrestrict from gcc 12 at -O3
+/// (GCC PR105329).
+inline std::string row_label(char prefix, std::size_t n) {
+  std::string label(1, prefix);
+  label += std::to_string(n);
+  return label;
+}
+
+/// An interval label "[lo, hi" + `close`, both bounds to `precision`
+/// places; built with += for the same reason as row_label.
+inline std::string interval_label(double lo, double hi, int precision, char close) {
+  std::string label = "[";
+  label += util::fmt_double(lo, precision);
+  label += ", ";
+  label += util::fmt_double(hi, precision);
+  label += close;
+  return label;
+}
+
 /// Collects claim verdicts and renders the final summary.
 class ShapeCheck {
  public:

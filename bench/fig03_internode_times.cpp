@@ -34,13 +34,13 @@ int main() {
     const auto ci = stats::bootstrap_mean_ci(burst_gaps, 400);
     if (!burst_gaps.empty()) burst_mtbfs.push_back(ci.point);
     table.row()
-        .cell("W" + std::to_string(w + 1))
+        .cell(bench::row_label('W', w + 1))
         .cell(static_cast<std::int64_t>(wk.failures))
         .pct(wk.fraction_within(2.0))
         .pct(wk.fraction_within(16.0))
         .pct(wk.fraction_within(120.0))
         .cell(ci.point, 2)
-        .cell("[" + util::fmt_double(ci.lo, 2) + ", " + util::fmt_double(ci.hi, 2) + "]");
+        .cell(bench::interval_label(ci.lo, ci.hi, 2, ']'));
     best_within16 = std::max(best_within16, wk.fraction_within(16.0));
     worst_within16 = std::min(worst_within16, wk.fraction_within(16.0));
   }

@@ -24,7 +24,7 @@ int main() {
     const auto nhf =
         correlator.correspondence(logmodel::EventType::NodeHeartbeatFault, begin, end);
     table.row()
-        .cell("M" + std::to_string(month + 1))
+        .cell(bench::row_label('M', month + 1))
         .cell(static_cast<std::int64_t>(nvf.faults))
         .pct(nvf.fraction())
         .cell(static_cast<std::int64_t>(nhf.faults))

@@ -21,7 +21,7 @@ int main() {
     const util::TimePoint begin = p.sim.config.begin + util::Duration::days(week * 7);
     const auto b = correlator.nhf_breakdown(begin, begin + util::Duration::days(7));
     table.row()
-        .cell("W" + std::to_string(week + 1))
+        .cell(bench::row_label('W', week + 1))
         .cell(static_cast<std::int64_t>(b.total))
         .cell(static_cast<std::int64_t>(b.failed))
         .cell(static_cast<std::int64_t>(b.failed_mce))

@@ -20,7 +20,7 @@ int main() {
           spatial.attribute(p.failures, begin, begin + util::Duration::days(30));
       table.row()
           .cell(platform::to_string(sys))
-          .cell("M" + std::to_string(month + 1))
+          .cell(bench::row_label('M', month + 1))
           .cell(static_cast<std::int64_t>(attribution.failures))
           .pct(attribution.blade_fraction())
           .pct(attribution.cabinet_fraction());

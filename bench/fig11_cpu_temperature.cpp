@@ -37,7 +37,7 @@ int main() {
     const auto& t0 = node_temps[n0];
     const auto& t1 = node_temps[n1];
     table.row()
-        .cell("B" + std::to_string(blade + 1))
+        .cell(bench::row_label('B', blade + 1))
         .cell(t0.mean(), 1)
         .cell(t0.stddev(), 2)
         .cell(t1.mean(), 1)

@@ -24,7 +24,7 @@ int main() {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const auto& r = rows[i];
     table.row()
-        .cell("J" + std::to_string(i + 1))
+        .cell(bench::row_label('J', i + 1))
         .cell(static_cast<std::int64_t>(r.allocated))
         .cell(static_cast<std::int64_t>(r.overallocated))
         .cell(static_cast<std::int64_t>(r.failed));

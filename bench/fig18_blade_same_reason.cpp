@@ -30,7 +30,7 @@ int main() {
       if (!groups.empty()) weekly.add(fraction);
       table.row()
           .cell(platform::to_string(sys))
-          .cell("W" + std::to_string(week + 1))
+          .cell(bench::row_label('W', week + 1))
           .cell(static_cast<std::int64_t>(groups.size()))
           .pct(fraction);
     }

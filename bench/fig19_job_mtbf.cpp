@@ -31,7 +31,7 @@ int main() {
       if (g <= 120.0) burst.add(g);
     }
     table.row()
-        .cell("W" + std::to_string(w + 1))
+        .cell(bench::row_label('W', w + 1))
         .cell(static_cast<std::int64_t>(wk.failures))
         .pct(wk.fraction_within(5.0))
         .pct(wk.fraction_within(32.0))

@@ -39,8 +39,10 @@ int main(int argc, char** argv) {
     } else if (row.overallocated > 0) {
       verdict = "overallocated but survived";
     }
+    std::string label = "J";
+    label += std::to_string(row.job_id % 100);
     table.row()
-        .cell("J" + std::to_string(row.job_id % 100))
+        .cell(label)
         .cell(job != nullptr ? job->app_name : "?")
         .cell(static_cast<std::int64_t>(row.allocated))
         .cell(static_cast<std::int64_t>(row.overallocated))

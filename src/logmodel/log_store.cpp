@@ -1,6 +1,7 @@
 #include "logmodel/log_store.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -9,13 +10,135 @@
 namespace hpcfail::logmodel {
 
 namespace {
+
 bool time_less(const LogRecord& a, const LogRecord& b) noexcept { return a.time < b.time; }
+
+/// "This record carries no such key" for the key extractors below.  Each
+/// spells out its has_*() test: `r.has_node() ? r.node.value : -1` would
+/// convert -1 to this same value by accident, and an index that forgot
+/// the test would size itself by it.
+constexpr std::uint32_t kNoKey = 0xffffffffu;
+
+using Index = util::CsrIndex<std::uint32_t>;
+
+/// One CSR index of LogStore::appended.  Rows [0, cut) are base's rows
+/// unchanged; `base_tail` is base's rows from the cut on and `merged_tail`
+/// the result's (starting at row `cut`).  The key count is the larger of
+/// `min_keys`, base's and the merged tail's, exactly as build_indexes
+/// would size it over all rows.
+template <class KeyOf>
+Index splice_index(const Index& base, std::uint32_t cut, std::span<const LogRecord> base_tail,
+                   std::span<const LogRecord> merged_tail, std::uint32_t min_keys,
+                   KeyOf key_of) {
+  const auto base_keys =
+      static_cast<std::uint32_t>(base.offsets.empty() ? 0 : base.offsets.size() - 1);
+  std::uint32_t keys = std::max(min_keys, base_keys);
+  for (const LogRecord& r : merged_tail) {
+    if (const std::uint32_t k = key_of(r); k != kNoKey) keys = std::max(keys, k + 1);
+  }
+  Index out;
+  if (keys == 0) return out;
+
+  // kept[k]: key k's base entries below the cut.  Each run is ascending,
+  // so they are the run's prefix: the run minus the base-tail rows of k.
+  std::vector<std::uint32_t> kept(keys, 0);
+  for (std::uint32_t k = 0; k < base_keys; ++k) kept[k] = base.offsets[k + 1] - base.offsets[k];
+  for (const LogRecord& r : base_tail) {
+    if (const std::uint32_t k = key_of(r); k != kNoKey) --kept[k];
+  }
+  out.offsets.assign(std::size_t{keys} + 1, 0);
+  for (std::uint32_t k = 0; k < keys; ++k) out.offsets[k + 1] = kept[k];
+  for (const LogRecord& r : merged_tail) {
+    if (const std::uint32_t k = key_of(r); k != kNoKey) ++out.offsets[k + 1];
+  }
+  for (std::size_t k = 1; k < out.offsets.size(); ++k) out.offsets[k] += out.offsets[k - 1];
+  out.entries.resize(out.offsets.back());
+
+  // Copy each kept prefix, then turn kept[] into the fill cursor for the
+  // merged tail, whose rows are appended in order so every run stays
+  // time-ordered.
+  for (std::uint32_t k = 0; k < keys; ++k) {
+    if (kept[k] != 0) {
+      std::copy_n(base.entries.begin() + base.offsets[k], kept[k],
+                  out.entries.begin() + out.offsets[k]);
+    }
+    kept[k] += out.offsets[k];
+  }
+  for (std::uint32_t j = 0; j < merged_tail.size(); ++j) {
+    if (const std::uint32_t k = key_of(merged_tail[j]); k != kNoKey) {
+      out.entries[kept[k]++] = cut + j;
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 LogStore::LogStore(std::vector<LogRecord> records, SymbolTable symbols)
     : records_(std::move(records)), symbols_(std::move(symbols)) {
   finalized_ = false;
   finalize();
+}
+
+LogStore LogStore::appended(const LogStore& base, std::vector<LogRecord> fresh,
+                           SymbolTable symbols) {
+  util::TraceSpan span("hpcfail.store.append");
+  base.require_finalized();
+  std::stable_sort(fresh.begin(), fresh.end(), time_less);
+
+  // Base rows at or before the earliest fresh time precede every fresh
+  // record in the oracle's stable order (ties keep base first), so the
+  // result starts with exactly base[0, cut).
+  const std::size_t n = base.records_.size();
+  const std::size_t cut =
+      fresh.empty() ? n
+                    : static_cast<std::size_t>(
+                          std::upper_bound(base.times_.begin(), base.times_.end(),
+                                           fresh.front().time.usec) -
+                          base.times_.begin());
+  const auto at = static_cast<std::ptrdiff_t>(cut);
+  const auto base_cut = base.records_.begin() + at;
+  const std::size_t total = n + fresh.size();
+
+  LogStore out;
+  out.symbols_ = std::move(symbols);
+  out.records_.reserve(total);
+  out.records_.insert(out.records_.end(), base.records_.begin(), base_cut);
+  // std::merge takes from its first range on ties: base wins.
+  std::merge(base_cut, base.records_.end(), fresh.begin(), fresh.end(),
+             std::back_inserter(out.records_), time_less);
+
+  const std::span<const LogRecord> base_tail(base.records_.data() + cut, n - cut);
+  const std::span<const LogRecord> merged_tail(out.records_.data() + cut, total - cut);
+  out.times_.reserve(total);
+  out.types_.reserve(total);
+  out.times_.insert(out.times_.end(), base.times_.begin(), base.times_.begin() + at);
+  out.types_.insert(out.types_.end(), base.types_.begin(), base.types_.begin() + at);
+  for (const LogRecord& r : merged_tail) {
+    out.times_.push_back(r.time.usec);
+    out.types_.push_back(r.type);
+  }
+
+  const auto cut32 = static_cast<std::uint32_t>(cut);
+  out.by_node_ = splice_index(base.by_node_, cut32, base_tail, merged_tail, 0,
+                              [](const LogRecord& r) {
+                                return r.has_node() ? r.node.value : kNoKey;
+                              });
+  out.by_blade_ = splice_index(base.by_blade_, cut32, base_tail, merged_tail, 0,
+                               [](const LogRecord& r) {
+                                 return r.has_blade() ? r.blade.value : kNoKey;
+                               });
+  out.by_cabinet_ = splice_index(base.by_cabinet_, cut32, base_tail, merged_tail, 0,
+                                 [](const LogRecord& r) {
+                                   return r.has_cabinet() ? r.cabinet.value : kNoKey;
+                                 });
+  out.by_type_ = splice_index(base.by_type_, cut32, base_tail, merged_tail,
+                              total == 0 ? 0 : static_cast<std::uint32_t>(kEventTypeCount),
+                              [](const LogRecord& r) {
+                                return static_cast<std::uint32_t>(r.type);
+                              });
+  out.collect_nodes();
+  return out;
 }
 
 void LogStore::add(LogRecord r) {
@@ -34,10 +157,10 @@ void LogStore::sort_by_time() {
   util::TraceSpan span("hpcfail.store.sort");
   // Records arrive as a handful of long ascending runs (each source file
   // is time-sorted, so ingest appends one run per source give or take
-  // chunk seams; a tail poll appends a short run after the sorted base).
-  // A full stable_sort pays n log n even on that shape; detecting the runs
-  // and stably merging them is one linear pass plus ~log(runs) compares
-  // per record, and a plain scan when the records are already sorted.
+  // chunk seams).  A full stable_sort pays n log n even on that shape;
+  // detecting the runs and stably merging them is one linear pass plus
+  // ~log(runs) compares per record, and a plain scan when the records are
+  // already sorted.
   std::vector<std::size_t> bounds;  // ascending-run boundaries
   bounds.push_back(0);
   for (std::size_t i = 1; i < records_.size(); ++i) {
@@ -131,10 +254,16 @@ void LogStore::build_indexes() {
     by_type_.entries[type_cur[static_cast<std::size_t>(r.type)]++] = i;
   }
 
+  collect_nodes();
+}
+
+void LogStore::collect_nodes() {
   // Distinct node ids fall out of the offsets in ascending order for free.
   nodes_.clear();
-  for (std::uint32_t k = 0; k < node_keys; ++k) {
-    if (by_node_.offsets[k + 1] > by_node_.offsets[k]) nodes_.push_back(platform::NodeId{k});
+  for (std::size_t k = 1; k < by_node_.offsets.size(); ++k) {
+    if (by_node_.offsets[k] > by_node_.offsets[k - 1]) {
+      nodes_.push_back(platform::NodeId{static_cast<std::uint32_t>(k - 1)});
+    }
   }
 }
 

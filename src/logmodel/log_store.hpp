@@ -32,6 +32,18 @@ class LogStore {
   /// point into), sorts by time and builds indexes.
   explicit LogStore(std::vector<LogRecord> records, SymbolTable symbols = {});
 
+  /// The store `LogStore(base.records() ++ fresh, symbols)` builds, without
+  /// re-sorting or re-indexing base's untouched prefix: stable-sorts
+  /// `fresh`, cuts base at its first record later than the earliest fresh
+  /// time, copies every row, column entry and index entry before the cut,
+  /// and merges (base winning time ties) and indexes only base's rows from
+  /// the cut on plus `fresh`.  Linear copies plus O(suffix log suffix)
+  /// work, so a tail epoch costs little more than copying its base.
+  /// `symbols` must resolve every record of both (a grown copy of base's
+  /// table); `base` must be finalized.  The constructor is the oracle.
+  [[nodiscard]] static LogStore appended(const LogStore& base, std::vector<LogRecord> fresh,
+                                         SymbolTable symbols);
+
   void add(LogRecord r);
 
   /// Sorts stably by time and (re)builds indexes.  Must be called after the
@@ -176,6 +188,8 @@ class LogStore {
   /// are already sorted, ~log(runs) compares per record otherwise.
   void sort_by_time();
   void build_indexes();
+  /// Rebuilds nodes_ from by_node_'s offsets.
+  void collect_nodes();
 
   /// CSR indexes (util::CsrIndex): entries are record indexes, grouped by
   /// id and time-ordered within each run because the fill pass walks the

@@ -99,22 +99,24 @@ Server::TailPoll Server::poll_tail() {
   }
   if (fresh.empty()) return out;
 
-  // Build the next epoch: previous records + symbols (deep copies; symbol
-  // ids are preserved, so old records stay resolvable) plus the fresh tail
-  // records interned into the copy.  The LogStore constructor re-sorts, so
+  // Build the next epoch: a grown copy of the previous symbols (ids are
+  // preserved, so old records stay resolvable) with the fresh tail records
+  // interned into it, spliced onto the previous store.  LogStore::appended
+  // re-sorts and re-indexes only the suffix the fresh records overlap, so
   // a tail whose times interleave another source's history still lands in
   // time order.
   auto next = std::make_shared<Epoch>();
   next->id = snap->id + 1;
-  std::vector<logmodel::LogRecord> records = snap->store.records();
   logmodel::SymbolTable symbols = snap->store.symbols();
-  records.reserve(records.size() + fresh.size());
+  std::vector<logmodel::LogRecord> records;
+  records.reserve(fresh.size());
   for (const auto& [record, detail] : fresh) {
     logmodel::LogRecord r = record;
     r.detail = symbols.intern(detail);
     records.push_back(r);
   }
-  next->store = logmodel::LogStore(std::move(records), std::move(symbols));
+  next->store =
+      logmodel::LogStore::appended(snap->store, std::move(records), std::move(symbols));
   window_of(next->store, next->begin, next->end);
   next->tail_records = snap->tail_records + fresh.size();
 
@@ -215,16 +217,6 @@ const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
     util::TraceSpan span("hpcfail.serve.analyze_epoch");
     epoch.analysis = std::make_shared<const core::AnalysisResult>(
         core::AnalysisEngine().analyze(epoch.store, &jobs_, epoch.begin, epoch.end));
-    // Render the report from that one engine run, so every analysis-backed
-    // verb (causes, lead_time, report) answers from the same result.
-    core::ReportInputs inputs;
-    inputs.store = &epoch.store;
-    inputs.jobs = &jobs_;
-    inputs.topology = &topology_;
-    inputs.system_label = label_;
-    inputs.begin = epoch.begin;
-    inputs.end = epoch.end;
-    epoch.report = core::markdown_report(inputs, *epoch.analysis);
     recomputes_.fetch_add(1, std::memory_order_relaxed);
     if (util::MetricsRegistry* reg = util::metrics()) {
       reg->counter("hpcfail.serve.analysis_recomputes").increment();
@@ -407,7 +399,20 @@ std::string Server::data_causes(const core::AnalysisResult& analysis) const {
 
 std::string Server::data_report(Epoch& epoch, const util::JsonValue& params,
                                 std::string& bad_params) {
-  analysis_of(epoch);  // renders epoch.report on first use
+  // Rendered on the first report query of the epoch, from the cached
+  // engine run, so causes and lead_time never wait for the render.
+  const core::AnalysisResult& analysis = analysis_of(epoch);
+  std::call_once(epoch.report_once, [this, &epoch, &analysis] {
+    util::TraceSpan span("hpcfail.serve.render_report");
+    core::ReportInputs inputs;
+    inputs.store = &epoch.store;
+    inputs.jobs = &jobs_;
+    inputs.topology = &topology_;
+    inputs.system_label = label_;
+    inputs.begin = epoch.begin;
+    inputs.end = epoch.end;
+    epoch.report = core::markdown_report(inputs, analysis);
+  });
   const std::string& report = epoch.report;
 
   // Slice on "## " headings; the heading text names the section.

@@ -10,15 +10,21 @@
 // records arrive it builds the next Epoch and swaps the pointer; queries
 // (any thread) copy the pointer once and answer entirely from that Epoch,
 // so every response is consistent with exactly one epoch — no torn reads.
+// The next store is a suffix splice of the previous one
+// (LogStore::appended): only the rows the fresh records overlap in time
+// are re-sorted and re-indexed; the prefix before them is copied as is.
 //
 // Analysis results are cached per epoch: the first query that needs the
 // AnalysisEngine (causes, lead_time, report) computes it once under
-// std::call_once and every later query in that epoch reuses it.  A tail
-// advance invalidates nothing in place — the old Epoch simply stops being
-// current, and in-flight queries against it stay valid until their
-// shared_ptr drops.  hpcfail.serve.analysis_recomputes counts the compute
-// path, hpcfail.serve.cache_hits the reuse path; the epoch-cache test
-// pins "repeated queries within an epoch never recompute" on those.
+// std::call_once and every later query in that epoch reuses it.  The
+// Markdown report renders lazily from that cached result, under its own
+// once-flag, on the epoch's first report query; causes and lead_time never
+// wait for it.  A tail advance invalidates nothing in place — the old
+// Epoch simply stops being current, and in-flight queries against it stay
+// valid until their shared_ptr drops.  hpcfail.serve.analysis_recomputes
+// counts the compute path, hpcfail.serve.cache_hits the reuse path; the
+// epoch-cache test pins "repeated queries within an epoch never
+// recompute" on those.
 #pragma once
 
 #include <atomic>
@@ -121,9 +127,11 @@ class Server {
     std::size_t tail_records = 0;  ///< cumulative tail records in the store
     std::unordered_map<std::uint32_t, NodeHealth> health;  ///< by node id
 
-    // Lazy per-epoch analysis cache, filled at most once under `once`.
+    // Lazy per-epoch caches: the engine run, filled at most once under
+    // `once`, and the report rendered from it under its own flag.
     std::once_flag once;
     std::shared_ptr<const core::AnalysisResult> analysis;
+    std::once_flag report_once;
     std::string report;  ///< markdown_report rendered from `analysis`
   };
 

@@ -94,9 +94,7 @@ INSTANTIATE_TEST_SUITE_P(Systems, CorpusDiff,
                          ::testing::Values(platform::SystemName::S1, platform::SystemName::S2,
                                            platform::SystemName::S3, platform::SystemName::S4,
                                            platform::SystemName::S5),
-                         [](const auto& info) {
-                           return "S" + std::to_string(static_cast<int>(info.param) + 1);
-                         });
+                         [](const auto& info) { return platform::to_string(info.param); });
 
 // A machine kept full: arrivals far above capacity drive the allocator into
 // its saturated and quarter-size-retry paths, and cancelled jobs add their

@@ -236,22 +236,22 @@ TEST(LintDanglingView, EscapingViewsAndTemporaryBindingsAreDiagnosedExactly) {
             (std::vector<std::string>{
                 "src/logmodel/views.cpp:13: error: [dangling-view] 'bad_name' returns "
                 "a std::string_view derived from local/parameter 'name'; the view "
-                "dangles when the function returns (the PR 5 hazard class) — return "
-                "an owning type or a view of caller-owned data",
+                "dangles when the function returns — return an owning type or a "
+                "view of caller-owned data",
                 "src/logmodel/views.cpp:17: error: [dangling-view] 'bad_ids' returns "
                 "a std::span derived from local/parameter 'ids'; the view dangles "
-                "when the function returns (the PR 5 hazard class) — return an owning "
-                "type or a view of caller-owned data",
+                "when the function returns — return an owning type or a view of "
+                "caller-owned data",
                 "src/logmodel/views.cpp:33: error: [dangling-view] 'rejected' returns "
                 "a std::string_view derived from local/parameter 'name'; the view "
-                "dangles when the function returns (the PR 5 hazard class) — return "
-                "an owning type or a view of caller-owned data",
+                "dangles when the function returns — return an owning type or a "
+                "view of caller-owned data",
                 "src/logmodel/views.cpp:32: error: [dangling-view] "
                 "allow(dangling-view) suppression is missing its reason; write: "
                 "// hpcfail-lint: allow(dangling-view) -- <why this is safe>",
                 "src/logmodel/views.cpp:21: error: [dangling-view] binds 'times()' "
                 "off a temporary LogStore; the view dangles at the end of the full "
-                "expression (the PR 5 hazard class) — name the LogStore first",
+                "expression — name the LogStore first",
             }));
 }
 

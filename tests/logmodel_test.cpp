@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -12,6 +13,7 @@
 #include "logmodel/event_type.hpp"
 #include "logmodel/log_store.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace hpcfail::logmodel {
 namespace {
@@ -279,6 +281,186 @@ TEST(LogStoreFinalize, SortedPlusLateInterleavedTail) {
     std::sort(tail.begin(), tail.end());
     seconds.insert(seconds.end(), tail.begin(), tail.end());
     expect_matches_stable_sort(seconds);
+  }
+}
+
+// --------------------------------------------- appended differential ----
+//
+// LogStore::appended splices fresh records onto a finalized base; the
+// constructor over base.records() ++ fresh is its oracle.  The two must
+// agree on every snapshot section byte (rows, symbols, time/type columns,
+// the four CSR indexes and the node list).  Each record's detail names
+// its origin, so the comparison also sees the order of time-tied records.
+
+/// Draws records with times in [lo, hi] seconds (narrow ranges force
+/// ties) and keys below the given bounds; a bound of 0 means the key is
+/// never set, and any key is left unset one time in five.
+struct RowShape {
+  std::int64_t lo = 0;
+  std::int64_t hi = 0;
+  std::uint32_t nodes = 16;
+  std::uint32_t blades = 8;
+  std::uint32_t cabinets = 4;
+};
+
+std::vector<LogRecord> random_rows(util::Rng& rng, std::size_t count, const RowShape& shape,
+                                   SymbolTable& symbols, const std::string& tag) {
+  const auto id_below = [&rng](std::uint32_t bound) {
+    return bound == 0 || rng.bernoulli(0.2)
+               ? platform::NodeId::kInvalid
+               : static_cast<std::uint32_t>(rng.uniform_int(0, bound - 1));
+  };
+  std::vector<LogRecord> rows;
+  for (std::size_t i = 0; i < count; ++i) {
+    LogRecord r;
+    r.time = util::TimePoint::from_unix_seconds(rng.uniform_int(shape.lo, shape.hi));
+    r.type = static_cast<EventType>(
+        rng.uniform_int(0, static_cast<std::int64_t>(kEventTypeCount) - 1));
+    r.node = platform::NodeId{id_below(shape.nodes)};
+    r.blade = platform::BladeId{id_below(shape.blades)};
+    r.cabinet = platform::CabinetId{id_below(shape.cabinets)};
+    r.detail = symbols.intern(tag + std::to_string(i));
+    rows.push_back(r);
+  }
+  return rows;
+}
+
+void expect_same_sections(const LogStore& got, const LogStore& want) {
+  util::Sections got_sections;
+  util::Sections want_sections;
+  got.append_sections(got_sections);
+  want.append_sections(want_sections);
+  const auto& g = got_sections.entries();
+  const auto& w = want_sections.entries();
+  ASSERT_EQ(g.size(), w.size());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    ASSERT_EQ(g[i].name, w[i].name);
+    EXPECT_TRUE(std::equal(g[i].bytes.begin(), g[i].bytes.end(), w[i].bytes.begin(),
+                           w[i].bytes.end()))
+        << "section " << w[i].name << " differs from the full rebuild";
+  }
+}
+
+/// Checks appended(base, fresh) against the oracle and returns it.
+LogStore expect_appended_matches(const LogStore& base, const std::vector<LogRecord>& fresh,
+                                 const SymbolTable& symbols) {
+  std::vector<LogRecord> all = base.records();
+  all.insert(all.end(), fresh.begin(), fresh.end());
+  const LogStore want{std::move(all), symbols};
+  LogStore got = LogStore::appended(base, fresh, symbols);
+  EXPECT_TRUE(got.finalized());
+  expect_same_sections(got, want);
+  return got;
+}
+
+std::int64_t earliest_usec(const std::vector<LogRecord>& rows) {
+  std::int64_t earliest = std::numeric_limits<std::int64_t>::max();
+  for (const LogRecord& r : rows) earliest = std::min(earliest, r.time.usec);
+  return earliest;
+}
+
+/// The rows of a base at or before the earliest fresh time: the prefix
+/// appended() leaves untouched.
+std::size_t cut_of(const LogStore& base, const std::vector<LogRecord>& fresh) {
+  const auto times = base.times();
+  return static_cast<std::size_t>(
+      std::upper_bound(times.begin(), times.end(), earliest_usec(fresh)) - times.begin());
+}
+
+TEST(LogStoreAppended, EmptyBaseAndEmptyDelta) {
+  util::Rng rng(11);
+  SymbolTable symbols;
+  const auto rows = random_rows(rng, 200, {0, 50}, symbols, "b");
+  const auto fresh = random_rows(rng, 40, {0, 50}, symbols, "f");
+  const LogStore empty{std::vector<LogRecord>{}, symbols};
+  (void)expect_appended_matches(empty, {}, symbols);
+  (void)expect_appended_matches(empty, fresh, symbols);
+  (void)expect_appended_matches(LogStore{}, fresh, symbols);
+  (void)expect_appended_matches(LogStore{rows, symbols}, {}, symbols);
+}
+
+TEST(LogStoreAppended, DeltaEntirelyBeforeOrAfterTheBase) {
+  util::Rng rng(12);
+  SymbolTable symbols;
+  const LogStore base{random_rows(rng, 300, {100, 200}, symbols, "b"), symbols};
+  const auto before = random_rows(rng, 30, {0, 99}, symbols, "e");
+  const auto after = random_rows(rng, 30, {201, 300}, symbols, "l");
+  ASSERT_EQ(cut_of(base, before), 0u);
+  ASSERT_EQ(cut_of(base, after), base.size());
+  (void)expect_appended_matches(base, before, symbols);
+  (void)expect_appended_matches(base, after, symbols);
+  // A delta that starts exactly at the base's last time ties at the end:
+  // the cut is still n, and base keeps its tied rows first.
+  auto at_end = random_rows(rng, 30, {200, 200}, symbols, "t");
+  ASSERT_EQ(cut_of(base, at_end), base.size());
+  (void)expect_appended_matches(base, at_end, symbols);
+}
+
+TEST(LogStoreAppended, TimeTiesAtTheCut) {
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    SymbolTable symbols;
+    // Ten distinct times, so the cut falls inside a run of ties and the
+    // merged suffix is full of base/fresh ties.
+    const LogStore base{random_rows(rng, 400, {0, 9}, symbols, "b"), symbols};
+    const auto fresh = random_rows(rng, 40, {5, 9}, symbols, "f");
+    const std::size_t cut = cut_of(base, fresh);
+    ASSERT_GT(cut, 0u);
+    ASSERT_LT(cut, base.size());
+    ASSERT_EQ(base.times()[cut - 1], earliest_usec(fresh)) << "the cut must split a tie";
+    (void)expect_appended_matches(base, fresh, symbols);
+  }
+}
+
+TEST(LogStoreAppended, KeysBeyondTheBaseRange) {
+  util::Rng rng(13);
+  SymbolTable symbols;
+  const LogStore base{random_rows(rng, 300, {0, 100}, symbols, "b"), symbols};
+  // Node, blade and cabinet ids past every base key grow each index.
+  RowShape wide{50, 150, 64, 32, 16};
+  (void)expect_appended_matches(base, random_rows(rng, 60, wide, symbols, "w"), symbols);
+  // A base whose rows carry no location keys at all has empty node, blade
+  // and cabinet offsets; the delta creates them.
+  RowShape keyless{0, 100, 0, 0, 0};
+  const LogStore bare{random_rows(rng, 200, keyless, symbols, "k"), symbols};
+  ASSERT_TRUE(bare.nodes().empty());
+  (void)expect_appended_matches(bare, random_rows(rng, 60, wide, symbols, "x"), symbols);
+}
+
+TEST(LogStoreAppended, RecordsWithoutNodeBladeOrCabinet) {
+  util::Rng rng(14);
+  SymbolTable symbols;
+  const LogStore base{random_rows(rng, 300, {0, 100}, symbols, "b"), symbols};
+  RowShape keyless{40, 140, 0, 0, 0};
+  (void)expect_appended_matches(base, random_rows(rng, 60, keyless, symbols, "k"), symbols);
+}
+
+TEST(LogStoreAppended, SeededTailSchedulesMatchTheRebuildAtEveryEpoch) {
+  // The daemon's shape: each epoch appends a small delta onto the previous
+  // epoch's store.  Deltas mostly run ahead of the store but reach back
+  // into its history by up to a tenth of the span, as a second tail whose
+  // lines trail the first's does.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    SymbolTable symbols;
+    LogStore store{random_rows(rng, 2000, {0, 1000}, symbols, "b"), symbols};
+    std::int64_t clock = 1000;
+    std::size_t interior_cuts = 0;
+    for (int epoch = 1; epoch <= 40; ++epoch) {
+      SCOPED_TRACE("epoch " + std::to_string(epoch));
+      const std::int64_t step = rng.uniform_int(0, 20);
+      const RowShape shape{clock - rng.uniform_int(0, 100), clock + step, 24, 12, 6};
+      clock += step;
+      const auto fresh = random_rows(rng, static_cast<std::size_t>(rng.uniform_int(0, 30)),
+                                     shape, symbols, "e" + std::to_string(epoch) + ".");
+      const std::size_t cut = cut_of(store, fresh);
+      interior_cuts += cut > 0 && cut < store.size() ? 1 : 0;
+      store = expect_appended_matches(store, fresh, symbols);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_GT(interior_cuts, 20u) << "the schedule must reach back into the store";
   }
 }
 

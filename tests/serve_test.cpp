@@ -10,14 +10,19 @@
 // then review the diff like any golden update.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
+#include "core/markdown_report.hpp"
 #include "faultsim/simulator.hpp"
 #include "loggen/corpus.hpp"
 #include "parsers/ingest.hpp"
@@ -273,10 +278,18 @@ struct TraceGuard {
   TraceGuard& operator=(const TraceGuard&) = delete;
 };
 
+std::size_t spans_named(const util::TraceRecorder& recorder, std::string_view name) {
+  std::size_t spans = 0;
+  for (const auto& e : recorder.events()) spans += e.name == name ? 1 : 0;
+  return spans;
+}
+
 std::size_t engine_runs(const util::TraceRecorder& recorder) {
-  std::size_t runs = 0;
-  for (const auto& e : recorder.events()) runs += e.name == "hpcfail.engine.run" ? 1 : 0;
-  return runs;
+  return spans_named(recorder, "hpcfail.engine.run");
+}
+
+std::size_t report_renders(const util::TraceRecorder& recorder) {
+  return spans_named(recorder, "hpcfail.serve.render_report");
 }
 
 TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
@@ -294,11 +307,15 @@ TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
   EXPECT_EQ(server.handle_line(R"({"id":1,"verb":"causes"})"), first);
   // Different analysis-backed verbs share the one computation.
   (void)server.handle_line(R"({"id":2,"verb":"lead_time"})");
+  EXPECT_EQ(report_renders(recorder), 0u) << "causes and lead_time must not render";
+  (void)server.handle_line(R"({"id":3,"verb":"report"})");
   (void)server.handle_line(R"({"id":3,"verb":"report"})");
   EXPECT_EQ(server.analysis_recomputes(), 1u)
       << "lead_time/report within the epoch must reuse the cached analysis";
-  // The report renders from the cached result: one engine run per epoch.
+  // The report renders once, from the cached result: one engine run per
+  // epoch.
   EXPECT_EQ(engine_runs(recorder), 1u);
+  EXPECT_EQ(report_renders(recorder), 1u);
   EXPECT_NE(first.find("\"epoch\":0"), std::string::npos);
 
   // An empty poll is not a tail advance: epoch and cache stay put.
@@ -324,6 +341,279 @@ TEST(ServeEpochTest, RepeatedQueriesNeverRecomputeWithinAnEpoch) {
             std::string::npos)
       << status;
   EXPECT_NE(status.find("\"tail_records\":1"), std::string::npos) << status;
+}
+
+// ----------------------------------------------- multi-epoch differential --
+
+/// One side of a split time: the records (and, before the split, the jobs
+/// that ended) on that side, with the window clipped to it.  The serve
+/// benchmark splits a run the same way into a boot corpus and its tails.
+faultsim::SimulationResult split_side(const faultsim::SimulationResult& sim,
+                                      util::TimePoint split, int split_day, bool before) {
+  faultsim::SimulationResult side;
+  side.config = sim.config;
+  side.topology = sim.topology;
+  side.symbols = sim.symbols;
+  if (before) {
+    side.config.days = split_day;
+  } else {
+    side.config.begin = split;
+    side.config.days = sim.config.days - split_day;
+  }
+  for (const logmodel::LogRecord& r : sim.records) {
+    if ((r.time < split) == before) side.records.push_back(r);
+  }
+  if (before) {
+    for (const jobs::Job& job : sim.jobs) {
+      if (job.end < split) side.jobs.push_back(job);
+    }
+  }
+  return side;
+}
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::size_t begin = 0;
+  while (begin < text.size()) {
+    std::size_t end = text.find('\n', begin);
+    if (end == std::string::npos) end = text.size();
+    lines.push_back(text.substr(begin, end - begin));
+    begin = end + 1;
+  }
+  return lines;
+}
+
+/// A number as the protocol writes it and a client reads it back.
+template <class T>
+double json_number(T value) {
+  std::string text;
+  util::append_json_number(text, value);
+  return util::JsonValue::parse(text)->as_number();
+}
+
+/// The "data" member of an ok response at `epoch`; fails the test (and
+/// answers an empty object) otherwise.
+util::JsonValue data_of(const std::string& response, std::uint64_t epoch) {
+  const auto doc = util::JsonValue::parse(response);
+  EXPECT_TRUE(doc.has_value()) << response;
+  if (!doc.has_value()) return {};
+  EXPECT_EQ(doc->uint_member("epoch"), epoch) << response;
+  const util::JsonValue* data = doc->find("data");
+  EXPECT_NE(data, nullptr) << response;
+  return data != nullptr ? *data : util::JsonValue{};
+}
+
+double number_at(const util::JsonValue& object, std::string_view key) {
+  const util::JsonValue* member = object.find(key);
+  EXPECT_TRUE(member != nullptr && member->is_number()) << "missing number " << key;
+  return member != nullptr ? member->as_number() : -1.0;
+}
+
+/// (title, text) of every "## " section of a Markdown report, as the
+/// daemon's report verb slices it.
+std::vector<std::pair<std::string, std::string>> report_sections(const std::string& report) {
+  std::vector<std::pair<std::string, std::string>> sections;
+  std::size_t pos = 0;
+  while (pos < report.size()) {
+    std::size_t eol = report.find('\n', pos);
+    if (eol == std::string::npos) eol = report.size();
+    if (report.compare(pos, 3, "## ") == 0) {
+      sections.emplace_back(report.substr(pos + 3, eol - pos - 3), std::string());
+    }
+    if (!sections.empty()) {
+      sections.back().second += report.substr(pos, std::min(eol + 1, report.size()) - pos);
+    }
+    pos = eol + 1;
+  }
+  return sections;
+}
+
+TEST(ServeEpochTest, TailEpochsMatchAFullRebuildAtEveryEpoch) {
+  // Boot from the days before a split time and follow the rest on two
+  // tails: console lines in fixed batches, controller lines in batches of
+  // the same share of their stream.  Controller times trail the console's,
+  // so polls reach back into history and every epoch's store is a splice
+  // into its predecessor, not a plain append.  At every epoch each
+  // analysis-backed verb must answer what a full rebuild answers.
+  constexpr int kDays = 4;
+  constexpr int kSplitDay = 3;
+  constexpr std::uint64_t kEpochs = 10;
+  constexpr std::size_t kConsoleBatch = 24;
+  const auto sim = faultsim::Simulator(
+                       faultsim::scenario_preset(platform::SystemName::S2, kDays, 4242))
+                       .run();
+  const util::TimePoint split = sim.config.begin + util::Duration::days(kSplitDay);
+  parsers::ParsedCorpus parsed =
+      parsers::ingest_corpus(loggen::build_corpus(split_side(sim, split, kSplitDay, true)));
+  const loggen::Corpus tail_corpus =
+      loggen::build_corpus(split_side(sim, split, kSplitDay, false));
+
+  // The rebuild's inputs, kept beside the daemon.
+  const platform::Topology topology = parsed.topology;
+  const jobs::JobTable jobs = parsed.jobs;
+  const std::string label = parsed.system.label;
+  std::vector<logmodel::LogRecord> records = parsed.store.records();
+  logmodel::SymbolTable symbols = parsed.store.symbols();
+  parsers::ParseContext ctx;
+  ctx.topo = &topology;
+  ctx.symbols = &symbols;
+  const util::CivilTime civil = util::civil_time(parsed.begin);
+  ctx.base_year = civil.year;
+  ctx.base_month = civil.month;
+
+  serve::Server server(std::move(parsed));
+  struct Tail {
+    logmodel::LogSource source;
+    ScratchFile file;
+    std::vector<std::string> lines;
+    std::size_t batch = 0;
+  };
+  Tail tails[] = {
+      {logmodel::LogSource::Console, ScratchFile("multi_console.log"),
+       lines_of(tail_corpus.of(logmodel::LogSource::Console)), kConsoleBatch},
+      {logmodel::LogSource::Controller, ScratchFile("multi_controller.log"),
+       lines_of(tail_corpus.of(logmodel::LogSource::Controller)), 0},
+  };
+  tails[1].batch = std::max<std::size_t>(
+      1, kConsoleBatch * tails[1].lines.size() / std::max<std::size_t>(1, tails[0].lines.size()));
+  for (Tail& tail : tails) {
+    ASSERT_GE(tail.lines.size(), kEpochs * tail.batch);
+    server.attach_tail(tail.file.path(), tail.source);
+  }
+
+  util::TraceRecorder recorder;
+  const TraceGuard guard(&recorder);
+  std::size_t reaching_back = 0;
+  for (std::uint64_t epoch = 1; epoch <= kEpochs; ++epoch) {
+    SCOPED_TRACE("epoch " + std::to_string(epoch));
+    const util::TimePoint latest =
+        std::max_element(records.begin(), records.end(), [](const auto& a, const auto& b) {
+          return a.time < b.time;
+        })->time;
+    const std::size_t before = records.size();
+    for (Tail& tail : tails) {
+      const parsers::LineParseFn parse = parsers::line_parser_for(tail.source);
+      std::string text;
+      for (std::size_t k = (epoch - 1) * tail.batch; k < epoch * tail.batch; ++k) {
+        const std::string& line = tail.lines[k];
+        text += line + "\n";
+        if (line.empty()) continue;
+        if (const auto record = parse(line, ctx)) records.push_back(*record);
+      }
+      tail.file.append(text);
+    }
+    const std::size_t fresh = records.size() - before;
+    ASSERT_GT(fresh, 0u);
+    reaching_back += std::any_of(records.begin() + static_cast<std::ptrdiff_t>(before),
+                                 records.end(),
+                                 [latest](const auto& r) { return r.time < latest; });
+    const auto poll = server.poll_tail();
+    ASSERT_TRUE(poll.ok());
+    EXPECT_EQ(poll.records, fresh);
+    ASSERT_EQ(server.epoch(), epoch);
+
+    // The rebuild: the constructor over every record so far, analyzed and
+    // rendered over the daemon's default 30-day window.
+    const logmodel::LogStore store{records, symbols};
+    const util::TimePoint end = store.last_time() + util::Duration::microseconds(1);
+    util::TimePoint begin = store.first_time();
+    if (end - begin > util::Duration::days(30)) begin = end - util::Duration::days(30);
+    const core::AnalysisResult want = core::AnalysisEngine().analyze(store, &jobs, begin, end);
+    core::ReportInputs inputs;
+    inputs.store = &store;
+    inputs.jobs = &jobs;
+    inputs.topology = &topology;
+    inputs.system_label = label;
+    inputs.begin = begin;
+    inputs.end = end;
+    const auto sections = report_sections(core::markdown_report(inputs, want));
+    ASSERT_FALSE(sections.empty());
+    const std::size_t runs = engine_runs(recorder);
+    const std::size_t renders = report_renders(recorder);
+
+    const util::JsonValue status =
+        data_of(server.handle_line(R"({"id":1,"verb":"status"})"), epoch);
+    EXPECT_EQ(number_at(status, "records"), static_cast<double>(store.size()));
+    EXPECT_EQ(number_at(status, "nodes"), static_cast<double>(store.nodes().size()));
+    const util::JsonValue* window_end = status.find("window_end");
+    ASSERT_NE(window_end, nullptr);
+    EXPECT_EQ(window_end->as_string(), util::format_iso(end));
+
+    // Every node the poll touched: its index run in the spliced store.
+    std::vector<std::uint32_t> touched;
+    for (std::size_t i = before; i < records.size(); ++i) {
+      if (records[i].has_node()) touched.push_back(records[i].node.value);
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+    for (const std::uint32_t node : touched) {
+      std::string request = R"({"id":6,"verb":"node_health","params":{"node":)";
+      util::append_json_string(request, topology.node_name(platform::NodeId{node}));
+      request += "}}";
+      EXPECT_EQ(number_at(data_of(server.handle_line(request), epoch), "records_in_window"),
+                static_cast<double>(store.node_range(platform::NodeId{node}, begin, end).size()))
+          << topology.node_name(platform::NodeId{node});
+    }
+
+    const util::JsonValue causes =
+        data_of(server.handle_line(R"({"id":2,"verb":"causes"})"), epoch);
+    EXPECT_EQ(number_at(causes, "total"), json_number(want.breakdown.total));
+    const util::JsonValue* counts = causes.find("counts");
+    ASSERT_NE(counts, nullptr);
+    for (std::size_t i = 0; i < logmodel::kRootCauseCount; ++i) {
+      const auto cause = static_cast<logmodel::RootCause>(i);
+      EXPECT_EQ(number_at(*counts, logmodel::to_string(cause)),
+                json_number(want.breakdown.count(cause)))
+          << logmodel::to_string(cause);
+    }
+    const util::JsonValue* layers = causes.find("layers");
+    ASSERT_NE(layers, nullptr);
+    EXPECT_EQ(number_at(*layers, "hardware"), json_number(want.layers.hardware));
+    EXPECT_EQ(number_at(*layers, "software"), json_number(want.layers.software));
+    EXPECT_EQ(number_at(*layers, "application"), json_number(want.layers.application));
+    EXPECT_EQ(number_at(*layers, "unknown"), json_number(want.layers.unknown));
+    EXPECT_EQ(number_at(*layers, "memory_exhaustion"),
+              json_number(want.layers.memory_exhaustion));
+    EXPECT_EQ(number_at(*layers, "application_triggered"),
+              json_number(want.layers.application_triggered));
+
+    const core::LeadTimeSummary& lead = want.lead_time_summary;
+    const util::JsonValue lead_time =
+        data_of(server.handle_line(R"({"id":3,"verb":"lead_time"})"), epoch);
+    EXPECT_EQ(number_at(lead_time, "failures"), json_number(lead.failures));
+    EXPECT_EQ(number_at(lead_time, "enhanceable"), json_number(lead.enhanceable));
+    EXPECT_EQ(number_at(lead_time, "enhanceable_fraction"),
+              json_number(lead.enhanceable_fraction()));
+    EXPECT_EQ(number_at(lead_time, "enhancement_factor"),
+              json_number(lead.enhancement_factor()));
+    EXPECT_EQ(number_at(lead_time, "mean_external_minutes"),
+              json_number(lead.external_minutes.mean()));
+    EXPECT_EQ(number_at(lead_time, "mean_internal_minutes"),
+              json_number(lead.internal_minutes.mean()));
+    EXPECT_EQ(report_renders(recorder), renders) << "causes and lead_time must not render";
+
+    const util::JsonValue listing =
+        data_of(server.handle_line(R"({"id":4,"verb":"report"})"), epoch);
+    const util::JsonValue* titles = listing.find("sections");
+    ASSERT_NE(titles, nullptr);
+    ASSERT_EQ(titles->items().size(), sections.size());
+    for (std::size_t i = 0; i < sections.size(); ++i) {
+      const auto& [title, text] = sections[i];
+      EXPECT_EQ(titles->items()[i].as_string(), title);
+      std::string request = R"({"id":5,"verb":"report","params":{"section":)";
+      util::append_json_string(request, title);
+      request += "}}";
+      const util::JsonValue section = data_of(server.handle_line(request), epoch);
+      const util::JsonValue* got = section.find("text");
+      ASSERT_NE(got, nullptr) << title;
+      EXPECT_EQ(got->as_string(), text) << "section " << title;
+    }
+    EXPECT_EQ(report_renders(recorder), renders + 1) << "one render per epoch";
+    EXPECT_EQ(engine_runs(recorder), runs + 1) << "one engine run per epoch";
+    if (HasFailure()) return;
+  }
+  EXPECT_EQ(server.analysis_recomputes(), kEpochs);
+  EXPECT_GE(reaching_back, kEpochs / 2) << "the tails must interleave the store's history";
 }
 
 // ------------------------------------------------------------- tail reader --

@@ -186,13 +186,16 @@ void scan_view_returning_functions(const SourceFile& file, Report& report) {
       if (ret.kind != Token::Kind::Identifier || owned.count(ret.text) == 0) continue;
       const Token& next = toks[k + 2];
       if (is_punct(next, ";") || is_punct(next, ".") || is_punct(next, "[")) {
-        emit(file, ret.line, check,
-             "'" + std::string(fn_name) + "' returns a " + std::string(view_type) +
-                 " derived from local/parameter '" + std::string(ret.text) +
-                 "'; the view dangles when the function returns (the PR 5 "
-                 "hazard class) — return an owning type or a view of "
-                 "caller-owned data",
-             report);
+        std::string message = "'";
+        message += fn_name;
+        message += "' returns a ";
+        message += view_type;
+        message += " derived from local/parameter '";
+        message += ret.text;
+        message +=
+            "'; the view dangles when the function returns — return an owning "
+            "type or a view of caller-owned data";
+        emit(file, ret.line, check, message, report);
       }
     }
     i = body_open;  // resume after the signature; nested defs are rescanned anyway
@@ -236,8 +239,8 @@ void scan_temporary_view_bindings(const SourceFile& file, Report& report) {
     emit(file, toks[close + 1].line, check,
          "binds '" + std::string(member.text) + "()' off a temporary " +
              std::string(toks[i].text) +
-             "; the view dangles at the end of the full expression (the PR 5 "
-             "hazard class) — name the " + std::string(toks[i].text) + " first",
+             "; the view dangles at the end of the full expression — name the " +
+             std::string(toks[i].text) + " first",
          report);
   }
 }

@@ -148,8 +148,9 @@ void lex(SourceFile& file) {
         ++i;  // opening quote
         const std::size_t delim_begin = i;
         while (i < s.size() && s[i] != '(' && s[i] != '\n' && i - delim_begin < 16) ++i;
-        const std::string delim =
-            ")" + std::string(s.substr(delim_begin, i - delim_begin)) + "\"";
+        std::string delim = ")";
+        delim += s.substr(delim_begin, i - delim_begin);
+        delim += '"';
         const std::size_t close = s.find(delim, i);
         const std::size_t end = close == std::string::npos ? s.size() : close + delim.size();
         line += static_cast<std::size_t>(
