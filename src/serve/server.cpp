@@ -14,12 +14,12 @@ namespace hpcfail::serve {
 
 namespace {
 
-/// Latency bucket edges (microseconds) shared by every request observation
-/// — the registry requires identical bounds on re-lookup.
+/// Request latency bucket edges in microseconds: a cached query answers
+/// in single-digit µs, a first query per epoch waits for the engine run.
 const std::vector<double>& latency_bounds() {
-  static const std::vector<double> bounds = {50,    100,   250,    500,    1000,
-                                             2500,  5000,  10000,  25000,  50000,
-                                             100000, 250000, 1000000};
+  static const std::vector<double> bounds = {
+      1,    2,    5,     10,    25,    50,     100,    250,    500,
+      1000, 2500, 5000, 10000, 25000, 50000, 100000, 250000, 1000000};
   return bounds;
 }
 
@@ -50,7 +50,7 @@ Server::Server(parsers::ParsedCorpus corpus, ServerConfig config)
       epoch->store.size() == 0 ? corpus_begin_ : epoch->store.last_time();
   epoch->health = health_;
 
-  publish(std::move(epoch));
+  publish(std::move(epoch), bind_instruments());
 }
 
 void Server::attach_tail(std::string path, logmodel::LogSource source,
@@ -66,8 +66,8 @@ void Server::attach_tail(std::string path, logmodel::LogSource source,
 
 Server::TailPoll Server::poll_tail() {
   util::TraceSpan span("hpcfail.serve.tail_poll");
-  util::MetricsRegistry* reg = util::metrics();
-  if (reg != nullptr) reg->counter("hpcfail.serve.tail_polls").increment();
+  const Instruments& m = instruments();
+  if (m.tail_polls != nullptr) m.tail_polls->increment();
 
   TailPoll out;
   const std::shared_ptr<Epoch> snap = current();
@@ -81,6 +81,7 @@ Server::TailPoll Server::poll_tail() {
   for (AttachedTail& tail : tails_) {
     TailReader::Poll poll = tail.reader.poll();
     if (!poll.ok()) {
+      if (m.tail_errors != nullptr) m.tail_errors->increment();
       if (!out.error.has_value()) out.error = poll.error;
       continue;  // offset did not advance; the next poll retries this tail
     }
@@ -93,9 +94,9 @@ Server::TailPoll Server::poll_tail() {
     }
   }
   out.records = fresh.size();
-  if (reg != nullptr) {
-    reg->counter("hpcfail.serve.tail_lines").add(out.lines);
-    reg->counter("hpcfail.serve.tail_records").add(out.records);
+  if (m.tail_lines != nullptr) {
+    m.tail_lines->add(out.lines);
+    m.tail_records->add(out.records);
   }
   if (fresh.empty()) return out;
 
@@ -125,7 +126,7 @@ Server::TailPoll Server::poll_tail() {
   // source's already-replayed history) is analyzable but not monitorable.
   for (const auto& [record, detail] : fresh) {
     if (record.time < monitor_watermark_) {
-      if (reg != nullptr) reg->counter("hpcfail.serve.monitor_skipped").increment();
+      if (m.monitor_skipped != nullptr) m.monitor_skipped->increment();
       continue;
     }
     monitor_watermark_ = record.time;
@@ -136,24 +137,23 @@ Server::TailPoll Server::poll_tail() {
   }
   next->health = health_;
 
-  publish(std::move(next));
+  publish(std::move(next), m);
   return out;
 }
 
 std::string Server::handle_line(std::string_view line) {
   util::TraceSpan span("hpcfail.serve.request");
-  util::MetricsRegistry* reg = util::metrics();
+  const Instruments& m = instruments();
   using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = reg != nullptr ? Clock::now() : Clock::time_point{};
-  if (reg != nullptr) reg->counter("hpcfail.serve.requests").increment();
+  const Clock::time_point start =
+      m.requests != nullptr ? Clock::now() : Clock::time_point{};
+  if (m.requests != nullptr) m.requests->increment();
 
-  const auto finish = [reg, start](std::string response, bool error) {
-    if (reg != nullptr) {
-      if (error) reg->counter("hpcfail.serve.request_errors").increment();
-      const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-          Clock::now() - start);
-      reg->histogram("hpcfail.serve.request_latency_us", latency_bounds())
-          .observe(static_cast<double>(us.count()));
+  const auto finish = [&m, start](std::string response, bool error) {
+    if (m.requests != nullptr) {
+      if (error) m.request_errors->increment();
+      m.request_latency_us->observe(
+          std::chrono::duration<double, std::micro>(Clock::now() - start).count());
     }
     return response;
   };
@@ -175,11 +175,11 @@ std::string Server::handle_line(std::string_view line) {
     } else if (req.verb == "node_health") {
       data = data_node_health(*snap, req.params, bad_params);
     } else if (req.verb == "lead_time") {
-      data = data_lead_time(analysis_of(*snap));
+      data = data_lead_time(analysis_of(*snap, m));
     } else if (req.verb == "causes") {
-      data = data_causes(analysis_of(*snap));
+      data = data_causes(analysis_of(*snap, m));
     } else if (req.verb == "report") {
-      data = data_report(*snap, req.params, bad_params);
+      data = data_report(*snap, analysis_of(*snap, m), req.params, bad_params);
     } else if (req.verb == "metrics") {
       data = data_metrics();
     } else {  // "shutdown" — parse_request only admits table verbs
@@ -197,36 +197,66 @@ std::string Server::handle_line(std::string_view line) {
 
 std::uint64_t Server::epoch() const noexcept { return current()->id; }
 
+const Server::Instruments& Server::instruments() {
+  const Instruments* bound = bound_.load(std::memory_order_acquire);
+  if (bound->generation == util::metrics_generation()) return *bound;
+  return bind_instruments();
+}
+
+const Server::Instruments& Server::bind_instruments() {
+  const std::scoped_lock lock(bind_mutex_);
+  // Generation first, registry second (as ThreadPool::bound_instruments):
+  // an install between the two loads leaves a current registry under a
+  // stale generation, so the next request simply rebinds.  The reverse
+  // order could cache a dead registry's instruments under the new
+  // generation.
+  const std::uint64_t generation = util::metrics_generation();
+  const Instruments* bound = bound_.load(std::memory_order_relaxed);
+  if (bound != nullptr && bound->generation == generation) return *bound;
+
+  auto next = std::make_unique<Instruments>();
+  next->generation = generation;
+  if (util::MetricsRegistry* reg = util::metrics()) {
+    next->requests = &reg->counter("hpcfail.serve.requests");
+    next->request_errors = &reg->counter("hpcfail.serve.request_errors");
+    next->request_latency_us =
+        &reg->histogram("hpcfail.serve.request_latency_us", latency_bounds());
+    next->analysis_recomputes = &reg->counter("hpcfail.serve.analysis_recomputes");
+    next->cache_hits = &reg->counter("hpcfail.serve.cache_hits");
+    next->tail_polls = &reg->counter("hpcfail.serve.tail_polls");
+    next->tail_lines = &reg->counter("hpcfail.serve.tail_lines");
+    next->tail_records = &reg->counter("hpcfail.serve.tail_records");
+    next->monitor_skipped = &reg->counter("hpcfail.serve.monitor_skipped");
+    next->tail_errors = &reg->counter("hpcfail.serve.tail_errors");
+    next->epoch = &reg->gauge("hpcfail.serve.epoch");
+  }
+  bound_.store(next.get(), std::memory_order_release);
+  bindings_.push_back(std::move(next));
+  return *bindings_.back();
+}
+
 std::shared_ptr<Server::Epoch> Server::current() const {
   const std::scoped_lock lock(epoch_mutex_);
   return epoch_;
 }
 
-void Server::publish(std::shared_ptr<Epoch> next) {
-  if (util::MetricsRegistry* reg = util::metrics()) {
-    reg->gauge("hpcfail.serve.epoch").set(static_cast<std::int64_t>(next->id));
-  }
+void Server::publish(std::shared_ptr<Epoch> next, const Instruments& m) {
+  if (m.epoch != nullptr) m.epoch->set(static_cast<std::int64_t>(next->id));
   const std::scoped_lock lock(epoch_mutex_);
   epoch_ = std::move(next);
 }
 
-const core::AnalysisResult& Server::analysis_of(Epoch& epoch) {
+const core::AnalysisResult& Server::analysis_of(Epoch& epoch, const Instruments& m) {
   bool computed = false;
-  std::call_once(epoch.once, [this, &epoch, &computed] {
+  std::call_once(epoch.once, [this, &epoch, &computed, &m] {
     computed = true;
     util::TraceSpan span("hpcfail.serve.analyze_epoch");
     epoch.analysis = std::make_shared<const core::AnalysisResult>(
         core::AnalysisEngine().analyze(epoch.store, &jobs_, epoch.begin, epoch.end));
     recomputes_.fetch_add(1, std::memory_order_relaxed);
-    if (util::MetricsRegistry* reg = util::metrics()) {
-      reg->counter("hpcfail.serve.analysis_recomputes").increment();
-    }
+    if (m.analysis_recomputes != nullptr) m.analysis_recomputes->increment();
   });
-  if (!computed) {
-    if (util::MetricsRegistry* reg = util::metrics()) {
-      reg->counter("hpcfail.serve.cache_hits").increment();
-    }
-  }
+  if (!computed && m.cache_hits != nullptr) m.cache_hits->increment();
   return *epoch.analysis;
 }
 
@@ -397,11 +427,10 @@ std::string Server::data_causes(const core::AnalysisResult& analysis) const {
   return out;
 }
 
-std::string Server::data_report(Epoch& epoch, const util::JsonValue& params,
-                                std::string& bad_params) {
+std::string Server::data_report(Epoch& epoch, const core::AnalysisResult& analysis,
+                                const util::JsonValue& params, std::string& bad_params) {
   // Rendered on the first report query of the epoch, from the cached
   // engine run, so causes and lead_time never wait for the render.
-  const core::AnalysisResult& analysis = analysis_of(epoch);
   std::call_once(epoch.report_once, [this, &epoch, &analysis] {
     util::TraceSpan span("hpcfail.serve.render_report");
     core::ReportInputs inputs;

@@ -43,6 +43,7 @@
 #include "parsers/source_parsers.hpp"
 #include "serve/protocol.hpp"
 #include "serve/tail.hpp"
+#include "util/metrics.hpp"
 
 namespace hpcfail::serve {
 
@@ -135,17 +136,43 @@ class Server {
     std::string report;  ///< markdown_report rendered from `analysis`
   };
 
+  /// Every hpcfail.serve.* instrument of one util::metrics_generation(),
+  /// looked up once by bind_instruments(); every slot is null while
+  /// metrics are dark.  A request with metrics on pays relaxed atomic
+  /// updates and two clock reads: no registry lock, name lookup or
+  /// allocation.
+  struct Instruments {
+    std::uint64_t generation = 0;  ///< util::metrics_generation() bound
+    util::Counter* requests = nullptr;
+    util::Counter* request_errors = nullptr;
+    util::Histogram* request_latency_us = nullptr;
+    util::Counter* analysis_recomputes = nullptr;
+    util::Counter* cache_hits = nullptr;
+    util::Counter* tail_polls = nullptr;
+    util::Counter* tail_lines = nullptr;
+    util::Counter* tail_records = nullptr;
+    util::Counter* monitor_skipped = nullptr;
+    util::Counter* tail_errors = nullptr;
+    util::Gauge* epoch = nullptr;
+  };
+
   struct AttachedTail {
     TailReader reader;
     parsers::LineParseFn parse = nullptr;
   };
 
+  /// The binding for the current metrics generation.  Lock-free unless
+  /// the generation moved since the last bind; then bind_instruments()
+  /// looks every instrument up once.  Thread-safe.
+  [[nodiscard]] const Instruments& instruments();
+  const Instruments& bind_instruments();
+
   [[nodiscard]] std::shared_ptr<Epoch> current() const;
-  void publish(std::shared_ptr<Epoch> next);
+  void publish(std::shared_ptr<Epoch> next, const Instruments& m);
 
   /// Fills the epoch's analysis cache on first use; counts recompute vs
   /// cache hit.
-  const core::AnalysisResult& analysis_of(Epoch& epoch);
+  const core::AnalysisResult& analysis_of(Epoch& epoch, const Instruments& m);
 
   void apply_alert(const core::Alert& alert,
                    std::unordered_map<std::uint32_t, NodeHealth>& health);
@@ -162,7 +189,9 @@ class Server {
                                              std::string& bad_params) const;
   [[nodiscard]] std::string data_lead_time(const core::AnalysisResult& analysis) const;
   [[nodiscard]] std::string data_causes(const core::AnalysisResult& analysis) const;
-  [[nodiscard]] std::string data_report(Epoch& epoch, const util::JsonValue& params,
+  [[nodiscard]] std::string data_report(Epoch& epoch,
+                                        const core::AnalysisResult& analysis,
+                                        const util::JsonValue& params,
                                         std::string& bad_params);
   [[nodiscard]] std::string data_metrics() const;
   [[nodiscard]] std::string data_shutdown();
@@ -183,6 +212,13 @@ class Server {
   util::TimePoint monitor_watermark_;  ///< last time fed to the monitor
   std::unordered_map<std::uint32_t, NodeHealth> health_;  ///< writer's copy
   std::vector<core::Alert> boot_alerts_;
+
+  // Instrument bindings: `bound_` points at the newest; bind_mutex_
+  // serializes rebinds.  Superseded bindings stay alive until the Server
+  // dies, since a concurrent request may still be reading one.
+  std::atomic<const Instruments*> bound_{nullptr};
+  std::mutex bind_mutex_;
+  std::vector<std::unique_ptr<const Instruments>> bindings_;
 
   std::atomic<std::uint64_t> recomputes_{0};
   std::atomic<bool> shutdown_{false};

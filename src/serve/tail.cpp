@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "util/fault.hpp"
-#include "util/metrics.hpp"
 
 namespace hpcfail::serve {
 
@@ -29,6 +28,15 @@ TailReader::Poll TailReader::poll() {
     out.error = TailError{path_, offset_, "cannot open tail file"};
     return out;
   }
+  // A file shorter than the offset was truncated or replaced under the
+  // reader: seeking past its end would read nothing, forever, and drop the
+  // new file's first offset bytes without a word.
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  if (size >= 0 && static_cast<std::uint64_t>(size) < offset_) {
+    out.error = TailError{path_, offset_, "tail file is shorter than the tail offset"};
+    return out;
+  }
   in.seekg(static_cast<std::streamoff>(offset_));
   if (!in) {
     out.error = TailError{path_, offset_, "cannot seek to tail offset"};
@@ -42,9 +50,6 @@ TailReader::Poll TailReader::poll() {
     if (in.bad()) {
       out.error = TailError{path_, offset_ + chunk.size(),
                             "I/O error while reading the tail"};
-      if (util::MetricsRegistry* reg = util::metrics()) {
-        reg->counter("hpcfail.serve.tail_errors").increment();
-      }
       return out;  // offset_ unchanged; the next poll retries from it
     }
     chunk.append(buf, static_cast<std::size_t>(in.gcount()));

@@ -9,9 +9,13 @@
 // reading the tail (provoked deterministically through the
 // serve.tail.read_io fault site) surfaces as a structured TailError on the
 // poll result, the offset does not advance, and the next poll retries —
-// the daemon never crashes or silently skips bytes.  A file that does not
-// exist yet is an empty poll, not an error (the writer may not have
-// created it).
+// the daemon never crashes or silently skips bytes.  A file that has
+// shrunk below the offset (truncated or rotated under the reader) is a
+// TailError too, on every poll until it grows past the offset again: the
+// bytes the new file holds before the offset are never read, and saying so
+// beats a silent stall.  A file that does not exist yet is an empty poll,
+// not an error (the writer may not have created it).  Server::poll_tail
+// counts every error in hpcfail.serve.tail_errors.
 #pragma once
 
 #include <cstdint>

@@ -4,13 +4,18 @@
 // tests/metrics_test.cpp).
 //
 // Cost model — the registry is designed around "near-zero when dark":
-//   - No registry installed: an instrumentation site pays one relaxed
-//     atomic load of the global pointer plus a predictable branch.  No
-//     clock reads, no allocation, no locking.
-//   - Registry installed: instrument lookup (name -> slot) takes a mutex
-//     once per site invocation OR once per bind when the caller caches the
-//     returned reference (hot paths do; see ThreadPool).  The increments
-//     themselves are relaxed atomics — safe from any thread, no lock.
+//   - No registry installed: an instrumentation site pays one atomic load
+//     of the global pointer plus a predictable branch (a site holding a
+//     binding: the generation load and a null check).  No clock reads, no
+//     allocation, no locking.
+//   - Registry installed: a lookup (name -> slot) builds a std::string
+//     key, takes the registry mutex — the one to_json() holds for a whole
+//     export — and searches a std::map; histogram() also copies its bounds.
+//     So hot paths never look up per event: they cache the returned
+//     references, once per call (parsers' IngestInstruments::bind) or once
+//     per metrics_generation() (ThreadPool::bound_instruments,
+//     serve::Server::bind_instruments).  The updates themselves are relaxed
+//     atomics — safe from any thread, no lock.
 //
 // Naming convention, enforced by hpcfail-lint's metric-naming check:
 // `hpcfail.<layer>.<snake_case>` (two or more dot segments after the
@@ -126,8 +131,8 @@ class MetricsRegistry {
 /// instrumented operation completes (drain pools before uninstalling).
 void install_metrics(MetricsRegistry* registry) noexcept;
 
-/// The installed registry, or nullptr when metrics are dark.  One relaxed
-/// atomic load — cheap enough for per-chunk/per-task call sites.
+/// The installed registry, or nullptr when metrics are dark.  One acquire
+/// load — cheap enough for per-chunk/per-task call sites.
 [[nodiscard]] MetricsRegistry* metrics() noexcept;
 
 /// Monotonic count of install_metrics() calls (0 before the first).

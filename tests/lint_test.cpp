@@ -359,6 +359,27 @@ TEST(LintHotPathFormat, MissingHotPathFileIsReported) {
             }));
 }
 
+TEST(LintHotPathMetrics, RegistryLookupsOutsideTheServeBindAreDiagnosedExactly) {
+  const Report report = run_checks(fixture("instrument_drift"), {"hot-path-metrics"});
+  const auto lookup = [](const std::string& where, const std::string& kind) {
+    return where + ": error: [hot-path-metrics] registry " + kind +
+           "() lookup in the serve layer takes the registry mutex and a name lookup "
+           "per call; look it up once per metrics generation in "
+           "Server::bind_instruments and read the bound slot";
+  };
+  EXPECT_EQ(rendered(report),
+            (std::vector<std::string>{
+                lookup("src/serve/server.cpp:17", "counter"),
+                lookup("src/serve/server.cpp:23", "gauge"),
+                lookup("src/serve/server.cpp:27", "histogram"),
+                lookup("src/serve/server.cpp:32", "counter"),
+                "src/serve/server.cpp:31: error: [hot-path-metrics] "
+                "allow(hot-path-metrics) suppression is missing its reason; write: "
+                "// hpcfail-lint: allow(hot-path-metrics) -- <why this is safe>",
+                lookup("src/serve/tail.cpp:8", "counter"),
+            }));
+}
+
 // A reasoned allow suppresses exactly its finding: the tolerated() cases in
 // every drift fixture carry `allow(<check>) -- <reason>` and none of the
 // pinned diagnostics above mention their lines.  This locks the other half
@@ -372,6 +393,7 @@ TEST(LintSuppressions, ReasonlessAllowNeverSuppresses) {
       {"rawsync_drift", "raw-sync"},
       {"scan_drift", "hot-path-scan"},
       {"format_drift", "hot-path-format"},
+      {"instrument_drift", "hot-path-metrics"},
   };
   for (const auto& [name, check] : cases) {
     SCOPED_TRACE(name);
@@ -491,7 +513,8 @@ TEST(LintClean, ConsistentFixtureTreePasses) {
       {"erd-table", "event-names", "corpus-files", "snapshot-version",
        "banned-pattern", "header-hygiene", "bench-pipeline", "metric-naming",
        "fault-sites", "capture-lifetime", "dangling-view", "finalize-protocol",
-       "raw-sync", "hot-path-scan", "hot-path-format", "serve-protocol"});
+       "raw-sync", "hot-path-scan", "hot-path-format", "hot-path-metrics",
+       "serve-protocol"});
   EXPECT_TRUE(report.ok()) << (report.ok() ? std::string{}
                                            : rendered(report).front());
 }

@@ -2,16 +2,21 @@
 // queries while the single writer advances the tail, and every individual
 // response must be internally consistent with exactly one published epoch
 // — the status verb's record count is a per-epoch invariant (base + one
-// record per advance), so a torn read between two epochs cannot pass.  CI
-// reruns this suite under ASan and TSan.  The serve fault sites get their
-// dedicated sweep in faultinject_test; here a focused pass checks the two
-// sites stay structured under concurrent load.
+// record per advance), so a torn read between two epochs cannot pass.  The
+// same load runs again with a metrics registry installed after boot, so the
+// clients race the daemon's first instrument bind and the hpcfail.serve.*
+// counts must still come out exact.  CI reruns this suite under ASan and
+// TSan.  The serve fault sites get their dedicated sweep in
+// faultinject_test; here a focused pass checks the two sites stay
+// structured under concurrent load.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <future>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -23,6 +28,7 @@
 #include "serve/server.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace hpcfail {
@@ -87,10 +93,20 @@ Booted boot() {
   return out;
 }
 
-TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
-  Booted booted = boot();
+constexpr std::uint64_t kAdvances = 8;
+
+/// What the mixed load sent: every response, and those from the verbs that
+/// go through the analysis cache.
+struct LoadCounts {
+  std::uint64_t responses = 0;
+  std::uint64_t analysis = 0;
+};
+
+/// Four clients send mixed queries while the single writer advances the
+/// tail kAdvances times; checks every response against one epoch.
+void run_load_during_ingest(Booted& booted, const std::string& tail_path,
+                            LoadCounts& counts) {
   serve::Server& server = *booted.server;
-  const std::string tail_path = "/tmp/hpcfail_serve_concurrency_tail.log";
   std::filesystem::remove(tail_path);
   server.attach_tail(tail_path, logmodel::LogSource::Console);
   const std::string line = booted.tail_line;
@@ -98,7 +114,6 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
 
   constexpr int kClients = 4;
   constexpr int kQueriesPerClient = 60;
-  constexpr std::uint64_t kAdvances = 8;
 
   std::atomic<bool> stop{false};
   // Clients that have sent one request of every verb.  The writer waits
@@ -155,6 +170,10 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
       ASSERT_TRUE(ok->is_bool() && ok->as_bool()) << response;
       const util::JsonValue* data = doc->find("data");
       ASSERT_NE(data, nullptr) << response;
+      ++counts.responses;
+      if (data->find("counts") != nullptr || data->find("enhanceable") != nullptr) {
+        ++counts.analysis;  // a causes or lead_time answer
+      }
       if (const util::JsonValue* records = data->find("records")) {
         EXPECT_EQ(static_cast<std::uint64_t>(records->as_number()),
                   booted.base_records + *epoch)
@@ -171,6 +190,45 @@ TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
   EXPECT_GE(server.analysis_recomputes(), 1u);
   EXPECT_LE(server.analysis_recomputes(), kAdvances + 1);
   std::filesystem::remove(tail_path);
+}
+
+TEST(ServeConcurrencyTest, ResponsesConsistentWithSomeEpochDuringIngest) {
+  Booted booted = boot();
+  LoadCounts counts;
+  run_load_during_ingest(booted, "/tmp/hpcfail_serve_concurrency_tail.log", counts);
+}
+
+TEST(ServeConcurrencyTest, InstalledMetricsCountExactlyUnderConcurrentLoad) {
+  util::MetricsRegistry registry;
+  Booted booted = boot();  // bound dark: the clients race the first real bind
+  util::install_metrics(&registry);
+  struct Uninstall {
+    ~Uninstall() { util::install_metrics(nullptr); }
+  } uninstall;
+  LoadCounts counts;
+  run_load_during_ingest(booted, "/tmp/hpcfail_serve_concurrency_metrics_tail.log",
+                         counts);
+  if (HasFatalFailure()) return;
+
+  std::map<std::string, std::int64_t> seen;
+  for (const auto& [name, value] : registry.counters()) {
+    seen[name] = static_cast<std::int64_t>(value);
+  }
+  for (const auto& [name, value] : registry.gauges()) seen[name] = value;
+  for (const auto& [name, histogram] : registry.histograms()) {
+    seen[name] = static_cast<std::int64_t>(histogram->count());
+  }
+  const auto responses = static_cast<std::int64_t>(counts.responses);
+  EXPECT_EQ(seen["hpcfail.serve.requests"], responses);
+  EXPECT_EQ(seen["hpcfail.serve.request_latency_us"], responses);
+  EXPECT_EQ(seen["hpcfail.serve.request_errors"], 0);
+  EXPECT_EQ(seen["hpcfail.serve.analysis_recomputes"] + seen["hpcfail.serve.cache_hits"],
+            static_cast<std::int64_t>(counts.analysis));
+  EXPECT_EQ(seen["hpcfail.serve.analysis_recomputes"],
+            static_cast<std::int64_t>(booted.server->analysis_recomputes()));
+  EXPECT_EQ(seen["hpcfail.serve.tail_polls"], static_cast<std::int64_t>(kAdvances));
+  EXPECT_EQ(seen["hpcfail.serve.tail_records"], static_cast<std::int64_t>(kAdvances));
+  EXPECT_EQ(seen["hpcfail.serve.epoch"], static_cast<std::int64_t>(kAdvances));
 }
 
 TEST(ServeConcurrencyTest, ServeFaultSitesStayStructuredUnderLoad) {

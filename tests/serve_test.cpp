@@ -3,7 +3,9 @@
 // matrix (every bad input answers a structured error and the daemon keeps
 // serving), the epoch cache contract (repeated queries within an epoch
 // never recompute; a tail advance bumps the epoch and recomputes once),
-// and the tail/session mechanics the daemon is built from.
+// exact hpcfail.serve.* accounting with a metrics registry installed
+// (including a registry swapped in mid-run), and the tail/session
+// mechanics the daemon is built from.
 //
 // To regenerate the transcripts after an intentional protocol change:
 //   HPCFAIL_UPDATE_GOLDENS=1 ./tests/serve_test
@@ -11,9 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -31,6 +35,7 @@
 #include "serve/session.hpp"
 #include "serve/tail.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/thread_pool.hpp"
 #include "util/trace.hpp"
 
@@ -616,6 +621,139 @@ TEST(ServeEpochTest, TailEpochsMatchAFullRebuildAtEveryEpoch) {
   EXPECT_GE(reaching_back, kEpochs / 2) << "the tails must interleave the store's history";
 }
 
+// ---------------------------------------------------------------- metrics --
+
+/// Installs a metrics registry for its lifetime, uninstalling even on
+/// failure.
+struct MetricsGuard {
+  explicit MetricsGuard(util::MetricsRegistry* registry) {
+    util::install_metrics(registry);
+  }
+  ~MetricsGuard() { util::install_metrics(nullptr); }
+  MetricsGuard(const MetricsGuard&) = delete;
+  MetricsGuard& operator=(const MetricsGuard&) = delete;
+};
+
+/// Every hpcfail.serve.* instrument of `reg` as name -> value: counters and
+/// the epoch gauge by value, the latency histogram by its count.
+std::map<std::string, std::int64_t> serve_metrics(const util::MetricsRegistry& reg) {
+  std::map<std::string, std::int64_t> out;
+  const auto keep = [&out](const std::string& name, std::int64_t value) {
+    if (name.rfind("hpcfail.serve.", 0) == 0) out[name.substr(14)] = value;
+  };
+  for (const auto& [name, value] : reg.counters()) {
+    keep(name, static_cast<std::int64_t>(value));
+  }
+  for (const auto& [name, value] : reg.gauges()) keep(name, value);
+  for (const auto& [name, histogram] : reg.histograms()) {
+    keep(name, static_cast<std::int64_t>(histogram->count()));
+  }
+  return out;
+}
+
+TEST(ServeMetricsTest, InstalledRegistryCountsEveryRequestAndPollExactly) {
+  util::MetricsRegistry first;
+  util::MetricsRegistry second;
+  Booted booted = boot(platform::SystemName::S2, 1, 4242);
+  serve::Server& server = *booted.server;
+  const ScratchFile tail("metrics_tail.log");
+  server.attach_tail(tail.path(), logmodel::LogSource::Console);
+  ASSERT_FALSE(booted.tail_line.empty());
+  const MetricsGuard guard(&first);
+
+  // (request line, answers an error, goes through the analysis cache).
+  struct Step {
+    std::string line;
+    bool error = false;
+    bool analysis = false;
+  };
+  const std::vector<Step> script = {
+      {R"({"id":1,"verb":"ping"})"},
+      {R"({"id":2,"verb":"status"})"},
+      {R"({"id":3,"verb":"causes"})", false, true},
+      {R"({"id":4,"verb":"lead_time"})", false, true},
+      {R"({"id":5,"verb":"report"})", false, true},
+      {R"({"id":6,"verb":"report","params":{"section":"No Such Section"}})", true, true},
+      {R"({"id":7,"verb":"node_health","params":{"node":")" + booted.node_name + R"("}})"},
+      {R"({"id":8,"verb":"node_health"})", true},
+      {R"({"id":9,"verb":"pi)", true},
+      {"", true},
+      {R"({"id":10,"verb":"frobnicate"})", true},
+      {R"({"id":11,"verb":"metrics"})"},
+  };
+  std::int64_t errors = 0;
+  std::int64_t analysis = 0;
+  const auto send = [&server, &errors, &analysis](const Step& step) {
+    const std::string response = server.handle_line(step.line);
+    EXPECT_EQ(response.find("\"ok\":false") != std::string::npos, step.error)
+        << step.line << " -> " << response;
+    errors += step.error ? 1 : 0;
+    analysis += step.analysis ? 1 : 0;
+  };
+  for (const Step& step : script) send(step);
+
+  // One empty poll, then one poll carrying a record and a line no parser
+  // accepts; two more analysis queries land in the new epoch.
+  ASSERT_TRUE(server.poll_tail().ok());
+  tail.append(booted.tail_line + "\nnot a console record\n");
+  const auto poll = server.poll_tail();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines, 2u);
+  ASSERT_EQ(poll.records, 1u);
+  send({R"({"id":12,"verb":"causes"})", false, true});
+  send({R"({"id":13,"verb":"causes"})", false, true});
+
+  const auto requests = static_cast<std::int64_t>(script.size() + 2);
+  const std::map<std::string, std::int64_t> expected = {
+      {"analysis_recomputes", 2},
+      {"cache_hits", analysis - 2},
+      {"epoch", 1},
+      // The console line is older than the store's last record (another
+      // source ends later), so the monitor skips it.
+      {"monitor_skipped", 1},
+      {"request_errors", errors},
+      {"request_latency_us", requests},
+      {"requests", requests},
+      {"tail_errors", 0},
+      {"tail_lines", 2},
+      {"tail_polls", 2},
+      {"tail_records", 1},
+  };
+  EXPECT_EQ(serve_metrics(first), expected);
+  EXPECT_EQ(server.analysis_recomputes(), 2u);
+
+  // A fresh registry is a new metrics generation: the daemon rebinds, the
+  // counts land in it, and the first registry stops moving.
+  util::install_metrics(&second);
+  analysis = 0;
+  errors = 0;
+  send({R"({"id":14,"verb":"ping"})"});
+  send({R"({"id":15,"verb":"causes"})", false, true});
+  send({"{", true});
+  tail.append(booted.tail_line + "\n");
+  ASSERT_EQ(server.poll_tail().records, 1u);
+  // Truncating the tail below its offset is a structured, counted error.
+  { std::ofstream(tail.path(), std::ios::binary | std::ios::trunc) << "x\n"; }
+  const auto truncated = server.poll_tail();
+  ASSERT_FALSE(truncated.ok());
+  EXPECT_EQ(truncated.error->message, "tail file is shorter than the tail offset");
+
+  EXPECT_EQ(serve_metrics(first), expected) << "the replaced registry kept counting";
+  EXPECT_EQ(serve_metrics(second), (std::map<std::string, std::int64_t>{
+                                       {"analysis_recomputes", 0},
+                                       {"cache_hits", analysis},
+                                       {"epoch", 2},
+                                       {"monitor_skipped", 1},
+                                       {"request_errors", errors},
+                                       {"request_latency_us", 3},
+                                       {"requests", 3},
+                                       {"tail_errors", 1},
+                                       {"tail_lines", 1},
+                                       {"tail_polls", 2},
+                                       {"tail_records", 1},
+                                   }));
+}
+
 // ------------------------------------------------------------- tail reader --
 
 TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
@@ -644,6 +782,30 @@ TEST(TailReaderTest, PartialLinesWaitForTheirNewline) {
   EXPECT_TRUE(poll.ok());
   EXPECT_TRUE(poll.lines.empty());
   EXPECT_EQ(reader.offset(), std::string("alpha\nbeta-still-beta\ngamma\r\n").size());
+}
+
+TEST(TailReaderTest, TruncatedTailIsAStructuredErrorNotASilentStall) {
+  const ScratchFile file("tail_truncated.log");
+  serve::TailReader reader(file.path(), logmodel::LogSource::Console);
+  file.append("first line 000001\n");  // 18 bytes
+  auto poll = reader.poll();
+  ASSERT_TRUE(poll.ok());
+  ASSERT_EQ(poll.lines.size(), 1u);
+  ASSERT_EQ(reader.offset(), 18u);
+
+  // Truncated (or rotated) under the reader, then written again, but not
+  // yet past the old offset: every poll says so and the offset stays.
+  { std::ofstream(file.path(), std::ios::binary | std::ios::trunc) << "new\n"; }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    file.append("more\n");
+    poll = reader.poll();
+    ASSERT_FALSE(poll.ok());
+    EXPECT_TRUE(poll.lines.empty());
+    EXPECT_EQ(poll.error->file, file.path());
+    EXPECT_EQ(poll.error->offset, 18u);
+    EXPECT_EQ(poll.error->message, "tail file is shorter than the tail offset");
+    EXPECT_EQ(reader.offset(), 18u);
+  }
 }
 
 TEST(TailReaderTest, SchedulerTailsAreRejected) {

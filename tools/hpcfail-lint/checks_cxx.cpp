@@ -13,7 +13,10 @@
 //     use-after-free),
 //   - hot-path-format: per-field snprintf / temporary-string formatting on
 //     the render hot path, which once made rendering a fifth of ingest
-//     speed.
+//     speed,
+//   - hot-path-metrics: per-request registry lookups in the serve layer,
+//     which once cut the daemon's query throughput with metrics on to
+//     under a quarter of the dark daemon's.
 //
 // The checks are deliberately token-level, not AST-level: they trade
 // soundness for zero build dependencies and sub-second repo-wide runtime,
@@ -560,6 +563,57 @@ void scan_hot_path_format(const SourceFile& file, Report& report) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// Check: hot-path-metrics
+// ---------------------------------------------------------------------------
+
+/// The one function in src/serve allowed to look instruments up by name.
+constexpr std::string_view kServeBindFunction = "bind_instruments";
+
+void scan_hot_path_metrics(const SourceFile& file, Report& report) {
+  const std::string check = "hot-path-metrics";
+  static const std::set<std::string_view> kLookups = {"counter", "gauge", "histogram"};
+  const Tokens& toks = file.tokens;
+
+  // Body of every out-of-class `X::bind_instruments(...) ... { ... }`.
+  std::vector<std::pair<std::size_t, std::size_t>> bind_bodies;
+  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
+    if (!is_ident(toks[i], kServeBindFunction) || !is_punct(toks[i - 1], "::") ||
+        !is_punct(toks[i + 1], "(")) {
+      continue;
+    }
+    for (std::size_t k = matching_close(toks, i + 1); k < toks.size(); ++k) {
+      if (is_punct(toks[k], ";")) break;  // a call or declaration, not a definition
+      if (is_punct(toks[k], "{")) {
+        bind_bodies.emplace_back(k, matching_close(toks, k));
+        break;
+      }
+    }
+  }
+  const auto in_bind_body = [&bind_bodies](std::size_t i) {
+    for (const auto& [open, close] : bind_bodies) {
+      if (i > open && i < close) return true;
+    }
+    return false;
+  };
+
+  for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
+    const Token& t = toks[i];
+    if (t.kind != Token::Kind::Identifier || kLookups.count(t.text) == 0) continue;
+    if (!(is_punct(toks[i - 1], "->") || is_punct(toks[i - 1], ".")) ||
+        !is_punct(toks[i + 1], "(") || in_bind_body(i)) {
+      continue;
+    }
+    std::string message = "registry ";
+    message += t.text;
+    message +=
+        "() lookup in the serve layer takes the registry mutex and a name "
+        "lookup per call; look it up once per metrics generation in "
+        "Server::bind_instruments and read the bound slot";
+    emit(file, t.line, check, message, report);
+  }
+}
+
 }  // namespace
 
 void check_capture_lifetime(SourceTree& tree, Report& report) {
@@ -613,6 +667,14 @@ void check_hot_path_format(SourceTree& tree, Report& report) {
       continue;
     }
     scan_hot_path_format(*file, report);
+  }
+}
+
+void check_hot_path_metrics(SourceTree& tree, Report& report) {
+  for (const auto& rel : tree.files_under("src/serve")) {
+    if (rel.size() < 4 || rel.compare(rel.size() - 4, 4, ".cpp") != 0) continue;
+    const SourceFile* file = tree.source(rel);
+    if (file != nullptr) scan_hot_path_metrics(*file, report);
   }
 }
 

@@ -1013,6 +1013,10 @@ const std::vector<CheckDef>& registry() {
         "Render hot-path files append fields in place, never snprintf, "
         "std::to_string, ostringstream or Cname::to_string"},
        &check_hot_path_format},
+      {{"hot-path-metrics", Severity::Error,
+        "The serve layer looks instruments up by name only in "
+        "Server::bind_instruments, never per request"},
+       &check_hot_path_metrics},
       {{"serve-protocol", Severity::Error,
         "The serve verb table (kVerbs) and the FORMATS.md serve protocol "
         "section must agree verb-for-verb, summary-for-summary"},

@@ -182,6 +182,14 @@ void check_hot_path_scan(SourceTree& tree, Report& report);
 /// per-topology name tables once).
 void check_hot_path_format(SourceTree& tree, Report& report);
 
+/// The serve layer (src/serve/*.cpp) looks its instruments up by name in
+/// one place, Server::bind_instruments, once per metrics generation: a
+/// counter(/gauge(/histogram( member call anywhere else there puts the
+/// registry mutex, a std::map search and a string allocation back on every
+/// request.  Token-level, so comments and string literals never match.
+/// Honors `// hpcfail-lint: allow(hot-path-metrics) -- <reason>`.
+void check_hot_path_metrics(SourceTree& tree, Report& report);
+
 /// The daemon's wire verbs (kVerbs in src/serve/protocol.cpp) and the
 /// FORMATS.md "serve protocol" table must agree in both directions — same
 /// verbs, same one-line summaries — so a verb cannot ship undocumented and
